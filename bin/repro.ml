@@ -831,6 +831,10 @@ let bench_cmd =
 (* --- report: the run-health observatory on a demo run --- *)
 
 let report quick seed window json_file =
+  match window with
+  | Some w when not (w > 0.0) ->
+    `Error (false, Printf.sprintf "--window must be positive, got %g" w)
+  | _ ->
   let warmup_ms, measure_ms = if quick then (500.0, 2_000.0) else (1_000.0, 5_000.0) in
   let params = { Workload.Tpcw.default with Workload.Tpcw.think_mean_ms = 300.0 } in
   let mix = Workload.Tpcw.Shopping in
@@ -853,7 +857,16 @@ let report quick seed window json_file =
          (Printf.sprintf "run health: TPC-W %s mix, fine mode, seed %d, %.0fms windows"
           (Workload.Tpcw.mix_name mix) seed (Obs.Timeseries.window_ms ts))
        ts);
-  Format.printf "@.%a@." Core.Metrics.pp_summary (Core.Cluster.metrics cluster);
+  Format.printf "@.%a" Core.Metrics.pp_summary (Core.Cluster.metrics cluster);
+  (* Consistency health as of the final window close. *)
+  (match List.rev (Obs.Timeseries.windows ts) with
+  | [] -> ()
+  | last :: _ ->
+    let gauge name = Option.value ~default:0.0 (Obs.Timeseries.gauge_value last name) in
+    Format.printf "health: lag.max=%.0f cert.log=%.0f watermark.horizon=%.0f epoch=%.0f@."
+      (gauge "replicas.lag.max") (gauge "certifier.log_size") (gauge "certifier.log_base")
+      (gauge "certifier.epoch"));
+  Format.printf "@.";
   match json_file with
   | None -> `Ok ()
   | Some file -> (
@@ -891,8 +904,8 @@ let trace_file_arg =
 
 let telemetry_arg =
   let doc =
-    "Sample resource utilization during the demo run and print the counter/gauge \
-     registry and sampler summaries."
+    "Sample every cluster signal during the demo run and print the final signal \
+     snapshot and the sampler summary."
   in
   Arg.(value & flag & info [ "telemetry" ] ~doc)
 
@@ -935,8 +948,12 @@ let trace_run trace_file telemetry quick seed cert_batch apply_parallelism =
       (Core.Metrics.throughput_tps m) (Core.Metrics.mean_response_ms m);
     (match sampler with
     | Some s ->
-      Core.Cluster.update_gauges cluster;
-      Format.printf "@.Registry:@.%a@." Obs.Registry.pp (Core.Cluster.registry cluster);
+      Format.printf "@.Signals:@.";
+      List.iter
+        (fun (name, v) ->
+          if Float.is_integer v then Format.printf "%-32s %12.0f@." name v
+          else Format.printf "%-32s %12.3f@." name v)
+        (Core.Cluster.snapshot cluster);
       Format.printf "@.Sampler (every %.0f ms):@.%a@." (Obs.Sampler.interval_ms s)
         Obs.Sampler.pp s
     | None -> ());

@@ -25,12 +25,6 @@ type t = {
   replicas : Replica.t array;
   metrics : Metrics.t;
   obs : Obs.Trace.t option;
-  registry : Obs.Registry.t;
-  c_commit : Obs.Registry.counter;
-  c_commit_ro : Obs.Registry.counter;
-  c_abort : Obs.Registry.counter;
-  c_shed : Obs.Registry.counter;
-  c_deadline : Obs.Registry.counter;
   shed_tids : (int, unit) Hashtbl.t;
       (* every tid refused with [Transaction.Overloaded] — the chaos
          zombie-commit checker asserts none of them appears in the
@@ -184,22 +178,18 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
         load db;
         Replica.create ?obs ~metrics engine config ~rng:(Util.Rng.split rng) ~id db)
   in
-  let registry = Obs.Registry.create () in
   (match faults with
   | None -> ()
   | Some f ->
     Certifier.set_faults certifier f;
     Array.iter (fun r -> Replica.set_faults r f) replicas;
-    (* Every injected fault becomes a metric and a registry counter. *)
+    (* Every injected fault becomes a metric. *)
     Sim.Faults.on_event f (fun ev ->
-        let kind, name =
-          match ev with
-          | Sim.Faults.Dropped _ -> (`Drop, "fault.drop")
-          | Sim.Faults.Duplicated _ -> (`Duplicate, "fault.duplicate")
-          | Sim.Faults.Delayed _ -> (`Delay, "fault.delay")
-        in
-        Metrics.note_fault metrics kind;
-        Obs.Registry.incr (Obs.Registry.counter registry name)));
+        Metrics.note_fault metrics
+          (match ev with
+          | Sim.Faults.Dropped _ -> `Drop
+          | Sim.Faults.Duplicated _ -> `Duplicate
+          | Sim.Faults.Delayed _ -> `Delay)));
   let t =
     {
       engine;
@@ -220,12 +210,6 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
       replicas;
       metrics;
       obs;
-      registry;
-      c_commit = Obs.Registry.counter registry "txn.commit";
-      c_commit_ro = Obs.Registry.counter registry "txn.commit_read_only";
-      c_abort = Obs.Registry.counter registry "txn.abort";
-      c_shed = Obs.Registry.counter registry "txn.shed";
-      c_deadline = Obs.Registry.counter registry "txn.deadline_expired";
       shed_tids = Hashtbl.create 64;
       next_tid = 0;
       log = Check.Runlog.Sink.create ();
@@ -323,19 +307,17 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
           let now = Sim.Engine.now engine in
           let lb = active_lb t in
           Load_balancer.sweep lb ~now;
-          (* Mirror detector transitions into metrics/registry. Summed
-             over instances so the cursors stay monotone across an LB
+          (* Mirror detector transitions into metrics. Summed over
+             instances so the cursors stay monotone across an LB
              takeover. *)
           let suspects = lb_sum t Load_balancer.suspect_events in
           for _ = t.seen_suspects + 1 to suspects do
-            Metrics.note_suspect metrics;
-            Obs.Registry.incr (Obs.Registry.counter registry "detector.suspect")
+            Metrics.note_suspect metrics
           done;
           t.seen_suspects <- suspects;
           let failovers = lb_sum t Load_balancer.failover_events in
           for _ = t.seen_failovers + 1 to failovers do
-            Metrics.note_failover metrics;
-            Obs.Registry.incr (Obs.Registry.counter registry "detector.dead")
+            Metrics.note_failover metrics
           done;
           t.seen_failovers <- failovers;
           (* Mirror retransmission work (stop-and-wait re-sends plus the
@@ -371,8 +353,6 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
                        reprovision via checkpoint state transfer. *)
                     t.reprovisions <- t.reprovisions + 1;
                     Metrics.note_failover metrics;
-                    Obs.Registry.incr
-                      (Obs.Registry.counter registry "detector.reprovision");
                     crash_replica t id;
                     recover_replica t id
                   end
@@ -505,7 +485,6 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
                 t.lb_active <- k;
                 t.lb_takeovers <- t.lb_takeovers + 1;
                 Metrics.note_lb_takeover metrics;
-                Obs.Registry.incr (Obs.Registry.counter registry "lb.takeover");
                 Log.info (fun m ->
                     m "[%.3f] LB instance %d took over routing (epoch %d, floor v%d)"
                       (Sim.Engine.now engine) k epoch floor);
@@ -535,12 +514,15 @@ let lb_cert_fenced t = lb_sum t Load_balancer.cert_fenced
 let replica t i = t.replicas.(i)
 let rng t = Util.Rng.split t.rng
 let trace t = t.obs
-let registry t = t.registry
 let network t = t.network
 let faults t = t.faults
 let reprovisions t = t.reprovisions
 
-(* --- telemetry ----------------------------------------------------- *)
+(* --- telemetry: the signal table ------------------------------------ *)
+
+type source = Gauge of (unit -> float) | Total of (unit -> int)
+
+type signal = { name : string; source : source }
 
 (* Staleness of replica [r] as the version oracle sees it: how many
    committed versions [v_system] is ahead of the replica's applied
@@ -551,194 +533,113 @@ let replica_lag t r =
 let max_lag t =
   Array.fold_left (fun acc r -> Stdlib.max acc (replica_lag t r)) 0 t.replicas
 
-let update_gauges t =
-  let refresh_total = ref 0 in
-  Array.iteri
-    (fun i r ->
-      let pending = Replica.pending_refresh r in
-      refresh_total := !refresh_total + pending;
-      let name key = Printf.sprintf "replica%d.%s" i key in
-      Obs.Registry.set (Obs.Registry.gauge t.registry (name "refresh_queue"))
-        (float_of_int pending);
-      Obs.Registry.set (Obs.Registry.gauge t.registry (name "active_txns"))
-        (float_of_int (Replica.active_local r));
-      Obs.Registry.set (Obs.Registry.gauge t.registry (name "v_local"))
-        (float_of_int (Replica.v_local r));
-      Obs.Registry.set (Obs.Registry.gauge t.registry (name "lag"))
-        (float_of_int (replica_lag t r));
-      Obs.Registry.set (Obs.Registry.gauge t.registry (name "watermark"))
-        (float_of_int (Certifier.watermark t.certifier ~replica:i)))
-    t.replicas;
-  Obs.Registry.set (Obs.Registry.gauge t.registry "refresh_queue.total")
-    (float_of_int !refresh_total);
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "replicas.lag.max")
-    (float_of_int (max_lag t));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.log_base")
-    (float_of_int (Certifier.log_base t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.session_floors")
-    (float_of_int (Load_balancer.session_count (active_lb t)));
-  Metrics.set_health t.metrics
-    ~lag_max:(float_of_int (max_lag t))
-    ~cert_log:(Certifier.log_size t.certifier)
-    ~watermark_horizon:(Certifier.log_base t.certifier)
-    ~epoch:(Certifier.current_epoch t.certifier);
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.log_size")
-    (float_of_int (Certifier.log_size t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.queue")
-    (float_of_int (Sim.Resource.queue_length (Certifier.cpu t.certifier)));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.watermark.min")
-    (float_of_int (Certifier.min_watermark t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.index_size")
-    (float_of_int (Certifier.index_size t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "net.retransmits")
-    (float_of_int (Sim.Network.retransmits t.network));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.retransmits")
-    (float_of_int (Certifier.retransmits t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.evictions")
-    (float_of_int (Certifier.evictions t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.epoch")
-    (float_of_int (Certifier.current_epoch t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.fenced")
-    (float_of_int (Certifier.fenced t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.promotions")
-    (float_of_int (Certifier.promotions t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.standby_lag")
-    (float_of_int (Certifier.standby_lag t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.elections")
-    (float_of_int (Certifier.elections t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.vote_denials")
-    (float_of_int (Certifier.vote_denials t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.lease_expiries")
-    (float_of_int (Certifier.lease_expiries t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.cert_fenced")
-    (float_of_int (lb_cert_fenced t));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.suspects")
-    (float_of_int (lb_sum t Load_balancer.suspect_events));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.failovers")
-    (float_of_int (lb_sum t Load_balancer.failover_events));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.takeovers")
-    (float_of_int t.lb_takeovers);
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.epoch")
-    (float_of_int t.lb_epoch);
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.fenced")
-    (float_of_int t.lb_fenced);
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.backlog")
-    (float_of_int (Certifier.backlog t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.shed")
-    (float_of_int (Certifier.shed t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.expired")
-    (float_of_int (Certifier.expired t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.admitted")
-    (float_of_int (Load_balancer.admitted (active_lb t)));
+(* Every cluster signal, declared once; the sampler, the observatory and
+   the snapshot are all derived from this list. Readers only read
+   simulation state (no RNG draw, no protocol event), so attaching any
+   sink leaves the run's events unchanged. *)
+let signals t =
+  let gauge name read = { name; source = Gauge read } in
+  let level name read = gauge name (fun () -> float_of_int (read ())) in
+  let total name read = { name; source = Total read } in
+  let resource name r =
+    [
+      level (name ^ ".busy") (fun () -> Sim.Resource.busy r);
+      level (name ^ ".queue") (fun () -> Sim.Resource.queue_length r);
+      gauge (name ^ ".util") (fun () -> Sim.Resource.utilization r);
+    ]
+  in
+  let cert = t.certifier in
+  let per_replica r =
+    let i = Replica.id r in
+    let name key = Printf.sprintf "replica%d.%s" i key in
+    resource (name "cpu") (Replica.cpu r)
+    @ [
+        level (name "refresh_queue") (fun () -> Replica.pending_refresh r);
+        level (name "active_txns") (fun () -> Replica.active_local r);
+        level (name "v_local") (fun () -> Replica.v_local r);
+        level (name "lag") (fun () -> replica_lag t r);
+        level (name "watermark") (fun () -> Certifier.watermark cert ~replica:i);
+        level (name "lb_active") (fun () -> Load_balancer.active (active_lb t) ~replica:i);
+      ]
+  in
+  List.concat_map per_replica (Array.to_list t.replicas)
+  @ resource "certifier.cpu" (Certifier.cpu cert)
+  @ [
+      (* consistency: the version oracle, staleness and session floors *)
+      level "v_system" (fun () -> Load_balancer.v_system (active_lb t));
+      level "replicas.lag.max" (fun () -> max_lag t);
+      level "refresh_queue.total" (fun () ->
+          Array.fold_left (fun acc r -> acc + Replica.pending_refresh r) 0 t.replicas);
+      level "lb.session_floors" (fun () -> Load_balancer.session_count (active_lb t));
+      level "lb.admitted" (fun () -> Load_balancer.admitted (active_lb t));
+      level "lb.epoch" (fun () -> t.lb_epoch);
+      (* certifier log, GC horizon and HA state *)
+      level "certifier.log_size" (fun () -> Certifier.log_size cert);
+      level "certifier.log_base" (fun () -> Certifier.log_base cert);
+      level "certifier.watermark.min" (fun () -> Certifier.min_watermark cert);
+      level "certifier.index_size" (fun () -> Certifier.index_size cert);
+      level "certifier.epoch" (fun () -> Certifier.current_epoch cert);
+      level "certifier.standby_lag" (fun () -> Certifier.standby_lag cert);
+      level "certifier.backlog" (fun () -> Certifier.backlog cert);
+      total "certifier.decisions" (fun () ->
+          let commits, aborts = Certifier.decisions cert in
+          commits + aborts);
+      total "certifier.evictions" (fun () -> Certifier.evictions cert);
+      total "certifier.promotions" (fun () -> Certifier.promotions cert);
+      total "certifier.fenced" (fun () -> Certifier.fenced cert);
+      total "certifier.elections" (fun () -> Certifier.elections cert);
+      total "certifier.vote_denials" (fun () -> Certifier.vote_denials cert);
+      total "certifier.lease_expiries" (fun () -> Certifier.lease_expiries cert);
+      total "certifier.shed" (fun () -> Certifier.shed cert);
+      total "certifier.expired" (fun () -> Certifier.expired cert);
+      (* retransmission work: stop-and-wait re-sends plus refresh repair *)
+      total "net.retransmits" (fun () ->
+          Sim.Network.retransmits t.network + Certifier.retransmits cert);
+      total "certifier.retransmits" (fun () -> Certifier.retransmits cert);
+      (* failure detector and LB control plane *)
+      total "detector.suspect" (fun () -> lb_sum t Load_balancer.suspect_events);
+      total "detector.dead" (fun () -> lb_sum t Load_balancer.failover_events);
+      total "detector.reprovision" (fun () -> t.reprovisions);
+      total "lb.takeovers" (fun () -> t.lb_takeovers);
+      total "lb.fenced" (fun () -> t.lb_fenced);
+      total "lb.cert_fenced" (fun () -> lb_cert_fenced t);
+      (* client give-ups and overload protection (docs/PROTOCOL.md,
+         "Overload & admission control"): zero unless a knob fires *)
+      total "txn.retry_exhausted" (fun () -> Metrics.retry_exhausted_total t.metrics);
+      total "txn.shed" (fun () -> Metrics.shed_total t.metrics);
+      total "txn.deadline_expired" (fun () -> Metrics.deadline_expired_total t.metrics);
+      total "txn.retry_budget_exhausted" (fun () ->
+          Metrics.retry_budget_exhausted_total t.metrics);
+    ]
+  @
   match t.faults with
-  | None -> ()
+  | None -> []
   | Some f ->
-    Obs.Registry.set
-      (Obs.Registry.gauge t.registry "faults.drops")
-      (float_of_int (Sim.Faults.drops f));
-    Obs.Registry.set
-      (Obs.Registry.gauge t.registry "faults.duplicates")
-      (float_of_int (Sim.Faults.duplicates f));
-    Obs.Registry.set
-      (Obs.Registry.gauge t.registry "faults.delays")
-      (float_of_int (Sim.Faults.delays f))
+    [
+      total "fault.drops" (fun () -> Sim.Faults.drops f);
+      total "fault.duplicates" (fun () -> Sim.Faults.duplicates f);
+      total "fault.delays" (fun () -> Sim.Faults.delays f);
+    ]
 
-let attach_probes t sampler =
-  Array.iteri
-    (fun i r ->
-      let name key = Printf.sprintf "replica%d.%s" i key in
-      Obs.Sampler.add_resource sampler ~name:(name "cpu") (Replica.cpu r);
-      Obs.Sampler.add sampler ~name:(name "refresh_queue") (fun () ->
-          float_of_int (Replica.pending_refresh r));
-      Obs.Sampler.add sampler ~name:(name "active_txns") (fun () ->
-          float_of_int (Replica.active_local r));
-      Obs.Sampler.add sampler ~name:(name "lag") (fun () ->
-          float_of_int (replica_lag t r));
-      Obs.Sampler.add sampler ~name:(name "lb_active") (fun () ->
-          float_of_int (Load_balancer.active (active_lb t) ~replica:i)))
-    t.replicas;
-  Obs.Sampler.add sampler ~name:"replicas.lag.max" (fun () ->
-      float_of_int (max_lag t));
-  Obs.Sampler.add_resource sampler ~name:"certifier.cpu" (Certifier.cpu t.certifier);
-  Obs.Sampler.add sampler ~name:"certifier.log_size" (fun () ->
-      float_of_int (Certifier.log_size t.certifier));
-  Obs.Sampler.add sampler ~name:"certifier.log_base" (fun () ->
-      float_of_int (Certifier.log_base t.certifier));
-  Obs.Sampler.add sampler ~name:"lb.session_floors" (fun () ->
-      float_of_int (Load_balancer.session_count (active_lb t)));
-  Obs.Sampler.add sampler ~name:"certifier.watermark.min" (fun () ->
-      float_of_int (Certifier.min_watermark t.certifier));
-  Obs.Sampler.add sampler ~name:"certifier.index_size" (fun () ->
-      float_of_int (Certifier.index_size t.certifier));
-  Obs.Sampler.add sampler ~name:"certifier.epoch" (fun () ->
-      float_of_int (Certifier.current_epoch t.certifier));
-  Obs.Sampler.add sampler ~name:"certifier.standby_lag" (fun () ->
-      float_of_int (Certifier.standby_lag t.certifier));
-  Obs.Sampler.add sampler ~name:"net.retransmits" (fun () ->
-      float_of_int (Sim.Network.retransmits t.network));
-  (* Overload channels: backlog depth, admitted in-flight and the shed /
-     deadline counters — flat zero lines unless an overload knob is on. *)
-  Obs.Sampler.add sampler ~name:"certifier.backlog" (fun () ->
-      float_of_int (Certifier.backlog t.certifier));
-  Obs.Sampler.add sampler ~name:"lb.admitted" (fun () ->
-      float_of_int (Load_balancer.admitted (active_lb t)));
-  Obs.Sampler.add sampler ~name:"txn.shed" (fun () ->
-      float_of_int (Metrics.shed t.metrics));
-  Obs.Sampler.add sampler ~name:"txn.deadline_expired" (fun () ->
-      float_of_int (Metrics.deadline_expired t.metrics));
-  (match t.faults with
-  | None -> ()
-  | Some f ->
-    Obs.Sampler.add sampler ~name:"faults.drops" (fun () ->
-        float_of_int (Sim.Faults.drops f)));
-  (* Keep the registry's gauges fresh on the same cadence. *)
-  Obs.Sampler.add sampler ~name:"v_system" (fun () ->
-      update_gauges t;
-      float_of_int (Load_balancer.v_system (active_lb t)))
+let read_signal s =
+  match s.source with Gauge read -> read () | Total read -> float_of_int (read ())
+
+let snapshot t =
+  List.map (fun s -> (s.name, read_signal s)) (signals t)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let start_telemetry ?interval_ms t =
   let sampler = Obs.Sampler.create ?interval_ms t.engine in
-  attach_probes t sampler;
+  List.iter (fun s -> Obs.Sampler.add sampler ~name:s.name (fun () -> read_signal s)) (signals t);
   Obs.Sampler.start sampler;
   sampler
 
 (* --- the run-health observatory ------------------------------------
 
    Windowed time series over the whole cluster: transaction outcomes
-   stream in through the Metrics outcome observer; rate counters over
-   monotonic sources (certifier decisions, retransmissions, faults,
-   detector and HA events) are mirrored as deltas at each window close;
-   consistency gauges (staleness, GC horizon, session floors, epoch)
-   are read at the same instant. Everything here only reads simulation
-   state — no RNG draw, no protocol event — so an observed run is
-   bit-identical to a blind one. *)
+   stream in through the Metrics outcome observer; every [Total] signal
+   becomes a per-window delta and every [Gauge] is read at window
+   close. *)
 
 let start_observatory ?window_ms t =
   let window_ms = Option.value window_ms ~default:t.cfg.Config.obs_window_ms in
@@ -792,83 +693,12 @@ let start_observatory ?window_ms t =
                tier_channels
          end
          else Obs.Timeseries.bump c_abort));
-  (* Monotonic sources -> per-window deltas, mirrored at window close. *)
-  let delta name read =
-    let c = Obs.Timeseries.counter ts name in
-    let seen = ref (read ()) in
-    fun () ->
-      let v = read () in
-      Obs.Timeseries.bump c ~by:(v - !seen);
-      seen := v
-  in
-  let mirrors =
-    [
-      delta "certifier.decisions" (fun () ->
-          let commits, aborts = Certifier.decisions t.certifier in
-          commits + aborts);
-      delta "net.retransmits" (fun () ->
-          Sim.Network.retransmits t.network + Certifier.retransmits t.certifier);
-      delta "detector.suspect" (fun () -> lb_sum t Load_balancer.suspect_events);
-      delta "detector.dead" (fun () -> lb_sum t Load_balancer.failover_events);
-      delta "certifier.promotions" (fun () -> Certifier.promotions t.certifier);
-      delta "certifier.fenced" (fun () -> Certifier.fenced t.certifier);
-      delta "certifier.elections" (fun () -> Certifier.elections t.certifier);
-      delta "certifier.vote_denials" (fun () -> Certifier.vote_denials t.certifier);
-      delta "certifier.lease_expiries" (fun () ->
-          Certifier.lease_expiries t.certifier);
-      delta "lb.takeovers" (fun () -> t.lb_takeovers);
-      (* Overload-protection channels (docs/PROTOCOL.md, "Overload &
-         admission control"): zero-rate (and absent from rendered
-         reports) unless a protection knob is on and actually fires. *)
-      delta "txn.shed" (fun () -> Metrics.shed t.metrics);
-      delta "txn.deadline_expired" (fun () -> Metrics.deadline_expired t.metrics);
-      delta "txn.retry_budget_exhausted" (fun () ->
-          Metrics.retry_budget_exhausted t.metrics);
-    ]
-    @
-    match t.faults with
-    | None -> []
-    | Some f ->
-      [
-        delta "fault.drops" (fun () -> Sim.Faults.drops f);
-        delta "fault.duplicates" (fun () -> Sim.Faults.duplicates f);
-        delta "fault.delays" (fun () -> Sim.Faults.delays f);
-      ]
-  in
-  Obs.Timeseries.add_pre_close ts (fun () -> List.iter (fun m -> m ()) mirrors);
-  (* Consistency gauges, sampled at window close (also refreshes the
-     registry gauges and the Metrics health snapshot). *)
-  Obs.Timeseries.add_probe ts ~name:"v_system" (fun () ->
-      update_gauges t;
-      float_of_int (Load_balancer.v_system (active_lb t)));
-  Array.iteri
-    (fun i r ->
-      Obs.Timeseries.add_probe ts
-        ~name:(Printf.sprintf "replica%d.lag" i)
-        (fun () -> float_of_int (replica_lag t r)))
-    t.replicas;
-  Obs.Timeseries.add_probe ts ~name:"replicas.lag.max" (fun () ->
-      float_of_int (max_lag t));
-  Obs.Timeseries.add_probe ts ~name:"certifier.log_size" (fun () ->
-      float_of_int (Certifier.log_size t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"certifier.log_base" (fun () ->
-      float_of_int (Certifier.log_base t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"certifier.watermark.min" (fun () ->
-      float_of_int (Certifier.min_watermark t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"certifier.epoch" (fun () ->
-      float_of_int (Certifier.current_epoch t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"certifier.standby_lag" (fun () ->
-      float_of_int (Certifier.standby_lag t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"lb.session_floors" (fun () ->
-      float_of_int (Load_balancer.session_count (active_lb t)));
-  Obs.Timeseries.add_probe ts ~name:"certifier.backlog" (fun () ->
-      float_of_int (Certifier.backlog t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"lb.admitted" (fun () ->
-      float_of_int (Load_balancer.admitted (active_lb t)));
-  Obs.Timeseries.add_probe ts ~name:"refresh_queue.total" (fun () ->
-      Array.fold_left
-        (fun acc r -> acc +. float_of_int (Replica.pending_refresh r))
-        0.0 t.replicas);
+  List.iter
+    (fun s ->
+      match s.source with
+      | Gauge read -> Obs.Timeseries.add_probe ts ~name:s.name read
+      | Total read -> Obs.Timeseries.add_total ts ~name:s.name read)
+    (signals t);
   Obs.Timeseries.start ts;
   ts
 
@@ -995,7 +825,6 @@ let submit t ~sid (req : Transaction.request) =
     Metrics.txn_abort mtxn
       ~slug:(Transaction.abort_slug reason)
       ~reason:(Format.asprintf "%a" Transaction.pp_abort_reason reason);
-    Obs.Registry.incr t.c_abort;
     Log.debug (fun m ->
         m "[%.3f] T%d aborted before dispatch: %a" (now ()) tid
           Transaction.pp_abort_reason reason);
@@ -1037,7 +866,6 @@ let submit t ~sid (req : Transaction.request) =
      All gates are off by default (see Config). *)
   let shed_abort retry_after_ms =
     Metrics.record_shed t.metrics;
-    Obs.Registry.incr t.c_shed;
     Hashtbl.replace t.shed_tids tid ();
     Sim.Network.transfer t.network ~src:(lb_node route_li) ~dst:Config.node_client
       ~size_bytes:32;
@@ -1123,7 +951,6 @@ let submit t ~sid (req : Transaction.request) =
     Metrics.txn_abort mtxn
       ~slug:(Transaction.abort_slug reason)
       ~reason:(Format.asprintf "%a" Transaction.pp_abort_reason reason);
-    Obs.Registry.incr t.c_abort;
     Log.debug (fun m ->
         m "[%.3f] T%d aborted: %a" (now ()) tid Transaction.pp_abort_reason reason);
     Transaction.Aborted { reason; response_ms = now () -. begin_time }
@@ -1150,8 +977,7 @@ let submit t ~sid (req : Transaction.request) =
   match Replica.await_version ?deadline replica v_start with
   | Error reason ->
     if now () >= txn_deadline then begin
-      Metrics.record_deadline_expired t.metrics;
-      Obs.Registry.incr t.c_deadline
+      Metrics.record_deadline_expired t.metrics
     end;
     abort ~finish:false reason
   | Ok () -> (
@@ -1198,7 +1024,6 @@ let submit t ~sid (req : Transaction.request) =
         Metrics.txn_commit mtxn ~read_only:true
           ~tier:(Consistency.tier_slug req.Transaction.tier)
           ~staleness;
-        Obs.Registry.incr t.c_commit_ro;
         record_commit t ~tid ~sid ~begin_time ~snapshot ~commit_version:None
           ~epoch:(Certifier.current_epoch t.certifier)
           ~lb_epoch:route_epoch ~tier:req.Transaction.tier
@@ -1210,7 +1035,6 @@ let submit t ~sid (req : Transaction.request) =
         (* The deadline passed while statements ran: drop the update
            before it ever reaches the certifier. *)
         Metrics.record_deadline_expired t.metrics;
-        Obs.Registry.incr t.c_deadline;
         abort Transaction.Timeout
       end
       else begin
@@ -1249,7 +1073,6 @@ let submit t ~sid (req : Transaction.request) =
           (* Refused by the bounded certifier backlog: surfaced to the
              client exactly like an LB shed, with the same hint. *)
           Metrics.record_shed t.metrics;
-          Obs.Registry.incr t.c_shed;
           Hashtbl.replace t.shed_tids tid ();
           abort
             (Transaction.Overloaded
@@ -1257,7 +1080,6 @@ let submit t ~sid (req : Transaction.request) =
         | Certifier.Expired ->
           (* Its deadline passed while it queued at the certifier. *)
           Metrics.record_deadline_expired t.metrics;
-          Obs.Registry.incr t.c_deadline;
           abort Transaction.Timeout
         | Certifier.Commit { version; epoch; global_commit = _ }
           when
@@ -1297,7 +1119,6 @@ let submit t ~sid (req : Transaction.request) =
             let stages = Metrics.txn_stages mtxn in
             Metrics.txn_commit mtxn ~read_only:false
               ~args:[ ("version", string_of_int version) ];
-            Obs.Registry.incr t.c_commit;
             record_commit t ~tid ~sid ~begin_time ~snapshot ~commit_version:(Some version)
               ~epoch ~lb_epoch:route_epoch ~tier:Consistency.Strong
               ~table_set:req.Transaction.table_set ~ws
@@ -1315,7 +1136,6 @@ let run_for t ~warmup_ms ~measure_ms =
   let start = Sim.Engine.now t.engine in
   Sim.Engine.run t.engine ~until:(start +. warmup_ms);
   Metrics.reset_window t.metrics;
-  Obs.Registry.reset t.registry;
   Check.Runlog.Sink.clear t.log;
   Sim.Engine.run t.engine ~until:(start +. warmup_ms +. measure_ms)
 

@@ -32,7 +32,8 @@ val create :
     [faults] builds a {!Sim.Faults} plan against the cluster's engine;
     the plan is attached to the network and to every component's
     service-time model (gray slowdowns), and every injected fault event
-    is mirrored into {!metrics} and the {!registry}. The plan owns its
+    is mirrored into {!metrics} and counted by the [fault.*]
+    {!signals}. The plan owns its
     own RNG, so attaching an all-{!Sim.Faults.clean} plan leaves the
     run's event stream bit-identical to no plan at all. Pair with
     [Config.reliable] (see {!Config.hardened}) so the protocol actually
@@ -90,40 +91,43 @@ val reprovisions : t -> int
 val trace : t -> Obs.Trace.t option
 (** The cluster's trace context; [Some] iff created with [~tracing:true]. *)
 
-val registry : t -> Obs.Registry.t
-(** Named counters (commits, read-only commits, aborts, exhausted
-    retries) and gauges; always live — counters cost one increment. *)
+(** A signal's source: a [Gauge] is a level read when sampled (queue
+    depth, staleness, log size); a [Total] is a monotone count since the
+    cluster was created (decisions, retransmits, faults), which a
+    windowed sink turns into per-window deltas. *)
+type source = Gauge of (unit -> float) | Total of (unit -> int)
 
-val update_gauges : t -> unit
-(** Refresh the registry's gauges (refresh-queue depths, active
-    transactions, per-replica staleness, certifier log size / base /
-    queue, session floors) from current state, and record the
-    {!Metrics.health} snapshot. *)
+type signal = { name : string; source : source }
 
-val attach_probes : t -> Obs.Sampler.t -> unit
-(** Register the standard probe set on a sampler: per-replica CPU
-    (busy/queue/utilization), refresh queue, active transactions and LB
-    in-flight count; certifier CPU and log size; [v_system]. The
-    [v_system] probe also calls {!update_gauges} each tick. *)
+val signals : t -> signal list
+(** Every cluster signal, declared once: per-replica CPU
+    ([replicaN.cpu.busy/queue/util]), refresh backlog, active
+    transactions, applied version, staleness, certifier watermark and
+    LB in-flight count; certifier CPU, log, GC horizon, epoch, backlog
+    and HA/control-plane totals; [v_system], session floors and
+    admission; retransmissions, detector events, client give-ups and
+    overload sheds; [fault.*] totals when built with a fault plan.
+    Every telemetry sink ({!start_telemetry}, {!start_observatory},
+    {!snapshot}) is derived from this list. Readers only read state. *)
+
+val snapshot : t -> (string * float) list
+(** Every signal's current value, sorted by name. *)
 
 val start_telemetry : ?interval_ms:float -> t -> Obs.Sampler.t
-(** Convenience: create a sampler on the cluster engine, attach the
-    standard probes and start it. *)
+(** Create a sampler on the cluster engine with one probe per
+    {!signals} entry (a [Total] samples its running count) and start
+    it. *)
 
 val start_observatory : ?window_ms:float -> t -> Obs.Timeseries.t
 (** Start the run-health observatory: a windowed {!Obs.Timeseries}
     (window span from [window_ms], default [Config.obs_window_ms]) fed
-    by three channels — the {!Metrics} outcome observer (commit /
-    read-only commit / abort counts plus response-time and per-stage
-    latency histograms), per-window deltas of monotonic sources
-    (certifier decisions, retransmissions, fault injections, detector
-    and HA events), and consistency gauges read at each window close
-    (per-replica staleness [v_system - v_local] and its max, certifier
-    log length and GC horizon, watermark minimum, session-floor count,
-    epoch, standby lag, refresh backlog). The gauge pass also refreshes
-    {!registry} gauges and the {!Metrics.health} snapshot. The
-    observatory only reads state: an observed run executes the same
-    events as a blind one (pinned by the determinism tests). *)
+    by the {!Metrics} outcome observer ([txn.commit] / [txn.commit_ro]
+    / [txn.abort] counts plus response-time and per-stage latency
+    histograms, and per-tier channels under [Config.read_tiers]) and by
+    {!signals}: every [Total] becomes a per-window delta counter, every
+    [Gauge] is read at each window close. The observatory only reads
+    state: an observed run executes the same events as a blind one
+    (pinned by the determinism tests). *)
 
 val stop_observatory : t -> Obs.Timeseries.t -> unit
 (** Stop the observatory's window process, flush the final partial

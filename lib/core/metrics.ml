@@ -22,18 +22,29 @@ let stage_name = function
 
 let stages = [ Version; Queries; Certify; Sync; Commit; Global ]
 
+(* A count kept over the whole run. The window view subtracts the
+   baseline taken at the last [reset_window], so the summary reads the
+   window while telemetry reads a monotone total from the same cell. *)
+type tally = { mutable total : int; mutable base : int }
+
+let tally () = { total = 0; base = 0 }
+
+let bump c = c.total <- c.total + 1
+
+let in_window c = c.total - c.base
+
 type t = {
   engine : Sim.Engine.t;
   mutable window_start : float;
   mutable committed : int;
   mutable updates : int;
   mutable aborted : int;
-  mutable retry_exhausted : int;
+  retry_exhausted : tally;
   (* overload protection (docs/PROTOCOL.md, "Overload & admission
      control") *)
-  mutable shed : int;
-  mutable retry_budget_exhausted : int;
-  mutable deadline_expired : int;
+  shed : tally;
+  retry_budget_exhausted : tally;
+  deadline_expired : tally;
   mutable max_queue_depth : int;
   response : Util.Stats.t;
   stage_sums : float array;  (* over all committed txns *)
@@ -68,8 +79,6 @@ type t = {
   tiers : tier_stat Stbl.t;
   (* per-outcome observer (the run-health observatory); None = zero cost *)
   mutable observer : (outcome -> unit) option;
-  (* consistency health gauges, refreshed by the cluster's gauge pass *)
-  mutable health : health option;
 }
 
 and tier_stat = {
@@ -87,13 +96,6 @@ and outcome = {
   out_staleness : int;  (* versions behind V_system at response; reads only *)
 }
 
-and health = {
-  lag_max : float;
-  cert_log : int;
-  watermark_horizon : int;
-  epoch : int;
-}
-
 let create engine =
   {
     engine;
@@ -101,10 +103,10 @@ let create engine =
     committed = 0;
     updates = 0;
     aborted = 0;
-    retry_exhausted = 0;
-    shed = 0;
-    retry_budget_exhausted = 0;
-    deadline_expired = 0;
+    retry_exhausted = tally ();
+    shed = tally ();
+    retry_budget_exhausted = tally ();
+    deadline_expired = tally ();
     max_queue_depth = 0;
     response = Util.Stats.create ();
     stage_sums = Array.make stage_count 0.0;
@@ -130,25 +132,18 @@ let create engine =
     lb_takeovers = 0;
     tiers = Stbl.create 4;
     observer = None;
-    health = None;
   }
 
 let set_observer t obs = t.observer <- obs
-
-let set_health t ~lag_max ~cert_log ~watermark_horizon ~epoch =
-  t.health <- Some { lag_max; cert_log; watermark_horizon; epoch }
-
-let health t = t.health
 
 let reset_window t =
   t.window_start <- Sim.Engine.now t.engine;
   t.committed <- 0;
   t.updates <- 0;
   t.aborted <- 0;
-  t.retry_exhausted <- 0;
-  t.shed <- 0;
-  t.retry_budget_exhausted <- 0;
-  t.deadline_expired <- 0;
+  List.iter
+    (fun c -> c.base <- c.total)
+    [ t.retry_exhausted; t.shed; t.retry_budget_exhausted; t.deadline_expired ];
   t.max_queue_depth <- 0;
   Util.Stats.clear t.response;
   Array.fill t.stage_sums 0 stage_count 0.0;
@@ -406,23 +401,30 @@ let txn_abort ?slug txn ~reason =
     Obs.Trace.finish tr root ~args:[ ("outcome", "aborted"); ("reason", reason) ]
   | _ -> ()
 
-let record_retry_exhausted t = t.retry_exhausted <- t.retry_exhausted + 1
+let record_retry_exhausted t = bump t.retry_exhausted
 
-let record_shed t = t.shed <- t.shed + 1
+let record_shed t = bump t.shed
 
-let record_retry_budget_exhausted t =
-  t.retry_budget_exhausted <- t.retry_budget_exhausted + 1
+let record_retry_budget_exhausted t = bump t.retry_budget_exhausted
 
-let record_deadline_expired t = t.deadline_expired <- t.deadline_expired + 1
+let record_deadline_expired t = bump t.deadline_expired
 
 let note_queue_depth t depth =
   if depth > t.max_queue_depth then t.max_queue_depth <- depth
 
-let shed t = t.shed
+let shed t = in_window t.shed
 
-let retry_budget_exhausted t = t.retry_budget_exhausted
+let retry_budget_exhausted t = in_window t.retry_budget_exhausted
 
-let deadline_expired t = t.deadline_expired
+let deadline_expired t = in_window t.deadline_expired
+
+let retry_exhausted_total t = t.retry_exhausted.total
+
+let shed_total t = t.shed.total
+
+let retry_budget_exhausted_total t = t.retry_budget_exhausted.total
+
+let deadline_expired_total t = t.deadline_expired.total
 
 let max_queue_depth t = t.max_queue_depth
 
@@ -432,7 +434,7 @@ let committed t = t.committed
 
 let aborted t = t.aborted
 
-let retry_exhausted t = t.retry_exhausted
+let retry_exhausted t = in_window t.retry_exhausted
 
 let throughput_tps t =
   let ms = window_ms t in
@@ -489,7 +491,7 @@ let pp_summary ppf t =
     "@[<v>window %.0fms: %d committed (%.1f TPS), %d aborted (%.1f%%), %d gave up@,\
      response mean %.2fms p50 %.2fms p99 %.2fms@,"
     (window_ms t) t.committed (throughput_tps t) t.aborted (100.0 *. abort_rate t)
-    t.retry_exhausted (mean_response_ms t) (percentile_response_ms t 50.0)
+    (retry_exhausted t) (mean_response_ms t) (percentile_response_ms t 50.0)
     (percentile_response_ms t 99.0);
   List.iter
     (fun s -> Format.fprintf ppf "%8s %.3fms@," (stage_name s) (mean_stage_ms t s))
@@ -519,10 +521,10 @@ let pp_summary ppf t =
     Format.fprintf ppf
       "control plane: elections=%d vote_denials=%d lease_expiries=%d lb_takeovers=%d@,"
       t.elections t.vote_denials t.lease_expiries t.lb_takeovers;
-  if t.shed + t.retry_budget_exhausted + t.deadline_expired + t.max_queue_depth > 0 then
+  if shed t + retry_budget_exhausted t + deadline_expired t + t.max_queue_depth > 0 then
     Format.fprintf ppf
       "overload: shed=%d retry_budget_exhausted=%d deadline_expired=%d max_queue=%d@,"
-      t.shed t.retry_budget_exhausted t.deadline_expired t.max_queue_depth;
+      (shed t) (retry_budget_exhausted t) (deadline_expired t) t.max_queue_depth;
   (* The tier table always carries read-only commits under "strong";
      print the breakdown only once a weaker class shows up, so runs
      without tiered traffic keep the classic summary. *)
@@ -535,10 +537,4 @@ let pp_summary ppf t =
           (tier_percentile_response_ms t slug 95.0)
           (tier_mean_staleness t slug) (tier_max_staleness t slug))
       (tier_slugs t);
-  (match t.health with
-  | None -> ()
-  | Some h ->
-    Format.fprintf ppf
-      "health: lag.max=%.0f cert.log=%d watermark.horizon=%d epoch=%d@," h.lag_max
-      h.cert_log h.watermark_horizon h.epoch);
   Format.fprintf ppf "@]"

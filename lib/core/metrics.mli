@@ -31,25 +31,12 @@ type outcome = {
           time; meaningful for read-only commits, 0 otherwise *)
 }
 
-(** A point-in-time consistency health snapshot, refreshed by the
-    cluster's gauge pass and echoed by {!pp_summary}. *)
-type health = {
-  lag_max : float;  (** max over replicas of [v_system - v_local] *)
-  cert_log : int;  (** certifier log length (entries kept) *)
-  watermark_horizon : int;  (** watermark-GC horizon (log base version) *)
-  epoch : int;  (** current certifier epoch *)
-}
-
 val create : Sim.Engine.t -> t
 
 val set_observer : t -> (outcome -> unit) option -> unit
 (** Install (or clear) the per-outcome observer. [None] — the default —
     costs nothing on the transaction path; the observatory installs a
     function that feeds its windowed counters and histograms. *)
-
-val set_health : t -> lag_max:float -> cert_log:int -> watermark_horizon:int -> epoch:int -> unit
-
-val health : t -> health option
 
 val reset_window : t -> unit
 (** Start (or restart) the measurement window; discards prior samples. *)
@@ -100,6 +87,21 @@ val deadline_expired : t -> int
 
 val max_queue_depth : t -> int
 (** Largest queue depth reported this window; 0 when never reported. *)
+
+(** {2 Run totals}
+
+    The give-up and overload counts since {!create}, unaffected by
+    {!reset_window} — monotone sources for telemetry. The window
+    accessors ({!shed}, {!retry_exhausted}, ...) subtract the total
+    taken at the last {!reset_window}. *)
+
+val retry_exhausted_total : t -> int
+
+val shed_total : t -> int
+
+val retry_budget_exhausted_total : t -> int
+
+val deadline_expired_total : t -> int
 
 (** {2 Pipeline batching}
 

@@ -46,7 +46,6 @@ let run_mode ~config ~params ~clients ~warmup_ms ~measure_ms mode =
   let start = Sim.Engine.now engine in
   Sim.Engine.run engine ~until:(start +. warmup_ms);
   Core.Metrics.reset_window metrics;
-  Obs.Registry.reset (Core.Cluster.registry cluster);
   let decisions0 =
     let c, a = Core.Certifier.decisions (Core.Cluster.certifier cluster) in
     c + a

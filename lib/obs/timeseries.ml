@@ -2,7 +2,7 @@
 
    Channels mutate plain refs/histograms on the hot path; the only
    simulation activity is the rollover process, which wakes once per
-   window, runs the pre-close hooks, snapshots every channel, and
+   window, folds in the totals' deltas, snapshots every channel, and
    resets the per-window state. Nothing here draws randomness, so an
    instrumented run executes the exact same protocol events as an
    uninstrumented one. *)
@@ -34,6 +34,10 @@ type window = {
 
 type probe = { p_name : string; p_read : unit -> float }
 
+(* A counter fed by a monotone external count: each close bumps it by
+   the growth since the previous close. *)
+type total = { t_counter : counter; t_read : unit -> int; mutable t_seen : int }
+
 type t = {
   engine : Sim.Engine.t;
   window_ms : float;
@@ -41,7 +45,7 @@ type t = {
   counters : counter Util.Vec.t;
   dists : dist Util.Vec.t;
   probes : probe Util.Vec.t;
-  pre_close : (unit -> unit) Util.Vec.t;
+  totals : total Util.Vec.t;
   windows : window Util.Vec.t;
   mutable window_start : float;
   mutable running : bool;
@@ -57,7 +61,7 @@ let create ?(window_ms = 250.0) ?(buckets_per_decade = 40) engine =
     counters = Util.Vec.create ();
     dists = Util.Vec.create ();
     probes = Util.Vec.create ();
-    pre_close = Util.Vec.create ();
+    totals = Util.Vec.create ();
     windows = Util.Vec.create ();
     window_start = Sim.Engine.now engine;
     running = false;
@@ -103,13 +107,17 @@ let observe d x = Util.Histogram.Log.add d.d_current x
 
 let add_probe t ~name p_read = Util.Vec.push t.probes { p_name = name; p_read }
 
-let add_pre_close t f = Util.Vec.push t.pre_close f
+let add_total t ~name read =
+  Util.Vec.push t.totals { t_counter = counter t name; t_read = read; t_seen = read () }
 
 let by_name (a, _) (b, _) = compare (a : string) b
 
 let close_window t =
-  for i = 0 to Util.Vec.length t.pre_close - 1 do
-    (Util.Vec.get t.pre_close i) ()
+  for i = 0 to Util.Vec.length t.totals - 1 do
+    let x = Util.Vec.get t.totals i in
+    let v = x.t_read () in
+    bump x.t_counter ~by:(v - x.t_seen);
+    x.t_seen <- v
   done;
   let counters =
     Util.Vec.to_list t.counters

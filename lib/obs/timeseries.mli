@@ -3,10 +3,11 @@
     A {!t} carves the run into fixed windows of [window_ms] virtual
     milliseconds and aggregates three kinds of channels per window:
 
-    - {e counters} ({!counter}/{!bump}): event counts that reset at
-      every window boundary (commits, aborts, certifier decisions,
-      retransmits, fault injections) — a window's count divided by its
-      span is the windowed rate (TPS, decisions/sec);
+    - {e counters} ({!counter}/{!bump}, or {!add_total} for a monotone
+      external count): event counts that reset at every window boundary
+      (commits, aborts, certifier decisions, retransmits, fault
+      injections) — a window's count divided by its span is the
+      windowed rate (TPS, decisions/sec);
     - {e distributions} ({!dist}/{!observe}): per-window mergeable
       log-bucketed latency histograms ({!Util.Histogram.Log}), closed
       into p50/p95/p99/max summaries and additionally merged into a
@@ -64,10 +65,10 @@ val observe : dist -> float -> unit
 val add_probe : t -> name:string -> (unit -> float) -> unit
 (** Register a gauge read at every window close. *)
 
-val add_pre_close : t -> (unit -> unit) -> unit
-(** Register a hook run at every window close {e before} the window is
-    snapshotted — the place to {!bump} counters with deltas of external
-    monotonic sources. *)
+val add_total : t -> name:string -> (unit -> int) -> unit
+(** Register a counter channel fed by a monotone external count (a run
+    total that never resets): every window records the count's growth
+    since the previous close, starting from its value now. *)
 
 val start : t -> unit
 (** Spawn the window-rollover process. The process exits after {!stop},

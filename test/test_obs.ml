@@ -1,6 +1,7 @@
-(* Tests for the observability subsystem: span buffer, registry,
-   sampler, JSON codec, and the Chrome trace-event exporter fed by a
-   real traced cluster run. *)
+(* Tests for the observability subsystem: span buffer, sampler,
+   windowed time series, the cluster's signal table and the sinks
+   derived from it, JSON codec, and the Chrome trace-event exporter fed
+   by a real traced cluster run. *)
 
 let mk_trace () =
   let engine = Sim.Engine.create () in
@@ -61,31 +62,6 @@ let test_trace_disabled_is_free () =
   Obs.Trace.finish_opt None span;
   Obs.Trace.instant_opt None ~trace_id:0 ~component:Obs.Span.Load_balancer ~name:"x" ()
 
-(* --- Registry --- *)
-
-let test_registry_counters_and_gauges () =
-  let r = Obs.Registry.create () in
-  let c = Obs.Registry.counter r "commits" in
-  Obs.Registry.incr c;
-  Obs.Registry.incr ~by:4 c;
-  Alcotest.(check int) "counter accumulates" 5 (Obs.Registry.counter_value c);
-  Alcotest.(check bool) "find-or-create returns the same cell" true
-    (Obs.Registry.counter r "commits" == c);
-  let g = Obs.Registry.gauge r "queue" in
-  Obs.Registry.set g 3.5;
-  Alcotest.(check (float 0.0)) "gauge holds last value" 3.5 (Obs.Registry.gauge_value g);
-  Alcotest.(check (list (pair string (float 0.0))))
-    "snapshot sorted by name"
-    [ ("commits", 5.0); ("queue", 3.5) ]
-    (Obs.Registry.snapshot r);
-  Alcotest.(check (option (float 0.0))) "find widens counters" (Some 5.0)
-    (Obs.Registry.find r "commits");
-  Obs.Registry.reset r;
-  Alcotest.(check int) "reset zeroes counters" 0 (Obs.Registry.counter_value c);
-  Alcotest.check_raises "kind clash rejected"
-    (Invalid_argument "Registry.gauge: \"commits\" is a counter") (fun () ->
-      ignore (Obs.Registry.gauge r "commits"))
-
 (* --- Sampler --- *)
 
 let test_sampler_periodic_series () =
@@ -127,8 +103,9 @@ let scripted_timeseries () =
   let c = Obs.Timeseries.counter ts "ev" in
   let d = Obs.Timeseries.dist ts "lat" in
   Obs.Timeseries.add_probe ts ~name:"clock" (fun () -> Sim.Engine.now engine);
-  Obs.Timeseries.add_pre_close ts (fun () ->
-      Obs.Timeseries.bump ~by:5 (Obs.Timeseries.counter ts "hook"));
+  (* A monotone external count: whole virtual milliseconds elapsed. *)
+  Obs.Timeseries.add_total ts ~name:"elapsed" (fun () ->
+      int_of_float (Sim.Engine.now engine));
   Sim.Process.spawn engine (fun () ->
       Obs.Timeseries.bump c;
       Obs.Timeseries.observe d 1.0;
@@ -149,12 +126,12 @@ let test_timeseries_windows_and_channels () =
     Alcotest.(check int) "window sequence" 0 w0.Obs.Timeseries.seq;
     Alcotest.(check (float 1e-9)) "w0 spans [0, 10)" 10.0 w0.Obs.Timeseries.end_ms;
     Alcotest.(check (list (pair string int)))
-      "w0 counters (sorted; hook from pre_close)"
-      [ ("ev", 1); ("hook", 5) ]
+      "w0 counters (sorted; total as its growth)"
+      [ ("elapsed", 10); ("ev", 1) ]
       w0.Obs.Timeseries.counters;
     Alcotest.(check (list (pair string int)))
       "counters reset at the boundary"
-      [ ("ev", 2); ("hook", 5) ]
+      [ ("elapsed", 10); ("ev", 2) ]
       w1.Obs.Timeseries.counters;
     Alcotest.(check (float 1e-9)) "windowed rate is count over span" 200.0
       (Obs.Timeseries.rate_per_sec w1 "ev");
@@ -167,10 +144,10 @@ let test_timeseries_windows_and_channels () =
       Alcotest.(check int) "one observation in w1" 1 s.Obs.Timeseries.count;
       Alcotest.(check (float 0.0)) "w1 max is the sample" 100.0 s.Obs.Timeseries.max
     | None -> Alcotest.fail "no lat summary in w1");
-    (* The flushed partial window: empty but for the gauges and hook. *)
+    (* The flushed partial window: empty but for the gauges and total. *)
     Alcotest.(check (list (pair string int)))
       "flushed window saw no events"
-      [ ("ev", 0); ("hook", 5) ]
+      [ ("elapsed", 10); ("ev", 0) ]
       w2.Obs.Timeseries.counters;
     (match Obs.Timeseries.summary_of w2 "lat" with
     | Some s -> Alcotest.(check int) "empty dist summary" 0 s.Obs.Timeseries.count
@@ -362,6 +339,100 @@ let test_text_dump_mentions_components () =
         (contains_substring text needle))
     [ "certify"; "refresh.apply"; "route" ]
 
+(* --- Signals: one table, every sink derived from it --- *)
+
+let sorted = List.sort_uniq String.compare
+
+(* A short run of a faulted 2-replica cluster with the sampler and the
+   observatory both attached. *)
+let test_signal_name_sets () =
+  let params = { Workload.Microbench.tables = 2; rows = 50; update_types = 2 } in
+  let config =
+    Core.Config.hardened { Core.Config.default with replicas = 2; seed = 11 }
+  in
+  let cluster =
+    Core.Cluster.create ~config
+      ~faults:(fun e ->
+        let f = Sim.Faults.create ~seed:3 e in
+        Sim.Faults.set_default f (Sim.Faults.spec ~drop:0.02 ());
+        f)
+      ~mode:Core.Consistency.Session
+      ~schemas:(Workload.Microbench.schemas params)
+      ~load:(Workload.Microbench.load params)
+      ()
+  in
+  Core.Client.spawn_many cluster ~n:4 ~first_sid:0 (Workload.Microbench.workload params);
+  let sampler = Core.Cluster.start_telemetry ~interval_ms:50.0 cluster in
+  let ts = Core.Cluster.start_observatory ~window_ms:100.0 cluster in
+  Core.Cluster.run_for cluster ~warmup_ms:100.0 ~measure_ms:300.0;
+  Obs.Sampler.stop sampler;
+  Core.Cluster.stop_observatory cluster ts;
+  let table = Core.Cluster.signals cluster in
+  let names_of l = List.map (fun (s : Core.Cluster.signal) -> s.name) l in
+  let names = names_of table in
+  Alcotest.(check int) "table names are unique" (List.length names)
+    (List.length (sorted names));
+  let table_gauges, table_totals =
+    List.partition
+      (fun (s : Core.Cluster.signal) ->
+        match s.source with Core.Cluster.Gauge _ -> true | Core.Cluster.Total _ -> false)
+      table
+  in
+  let series = List.map (fun (s : Obs.Sampler.series) -> s.name) (Obs.Sampler.series sampler) in
+  Alcotest.(check (list string)) "sampler series = table" (sorted names) (sorted series);
+  let outcome_counters = [ "txn.abort"; "txn.commit"; "txn.commit_ro" ] in
+  let outcome_dists =
+    "response" :: List.map (fun s -> "stage." ^ Core.Metrics.stage_name s) Core.Metrics.stages
+  in
+  let w = List.hd (Obs.Timeseries.windows ts) in
+  let keys l = sorted (List.map fst l) in
+  let gauges = keys w.Obs.Timeseries.gauges
+  and counters = keys w.Obs.Timeseries.counters
+  and dists = keys w.Obs.Timeseries.dists in
+  Alcotest.(check (list string)) "observatory gauges = table gauges"
+    (sorted (names_of table_gauges)) gauges;
+  Alcotest.(check (list string)) "observatory counters = table totals + outcomes"
+    (sorted (names_of table_totals @ outcome_counters))
+    counters;
+  Alcotest.(check (list string)) "observatory dists = outcomes" (sorted outcome_dists) dists;
+  (* Every channel the observatory exported before the table existed. *)
+  let earlier_counters =
+    outcome_counters
+    @ [
+        "certifier.decisions"; "certifier.elections"; "certifier.fenced";
+        "certifier.lease_expiries"; "certifier.promotions"; "certifier.vote_denials";
+        "detector.dead"; "detector.suspect"; "fault.delays"; "fault.drops";
+        "fault.duplicates"; "lb.takeovers"; "net.retransmits"; "txn.deadline_expired";
+        "txn.retry_budget_exhausted"; "txn.shed";
+      ]
+  and earlier_gauges =
+    [
+      "certifier.backlog"; "certifier.epoch"; "certifier.log_base"; "certifier.log_size";
+      "certifier.standby_lag"; "certifier.watermark.min"; "lb.admitted";
+      "lb.session_floors"; "refresh_queue.total"; "replica0.lag"; "replica1.lag";
+      "replicas.lag.max"; "v_system";
+    ]
+  in
+  let subset what earlier now =
+    List.iter
+      (fun name ->
+        if not (List.mem name now) then Alcotest.failf "%s channel %S is gone" what name)
+      earlier
+  in
+  subset "counter" earlier_counters counters;
+  subset "gauge" earlier_gauges gauges;
+  (* The benchmark selects sampler series by these predicates. *)
+  let matching pred = List.filter pred series |> sorted in
+  Alcotest.(check (list string)) "replica CPU queue series"
+    [ "replica0.cpu.queue"; "replica1.cpu.queue" ]
+    (matching (fun n ->
+         String.starts_with ~prefix:"replica" n && String.ends_with ~suffix:".cpu.queue" n));
+  Alcotest.(check (list string)) "refresh queue series"
+    [ "replica0.refresh_queue"; "replica1.refresh_queue" ]
+    (matching (String.ends_with ~suffix:".refresh_queue"));
+  Alcotest.(check (list string)) "certifier backlog series" [ "certifier.backlog" ]
+    (matching (String.equal "certifier.backlog"))
+
 let suites =
   [
     ( "obs.trace",
@@ -370,9 +441,8 @@ let suites =
         Alcotest.test_case "ring overwrites oldest" `Quick test_trace_ring_overwrites_oldest;
         Alcotest.test_case "disabled path" `Quick test_trace_disabled_is_free;
       ] );
-    ( "obs.registry",
-      [ Alcotest.test_case "counters and gauges" `Quick test_registry_counters_and_gauges ]
-    );
+    ( "obs.signals",
+      [ Alcotest.test_case "name sets agree across sinks" `Quick test_signal_name_sets ] );
     ( "obs.sampler",
       [
         Alcotest.test_case "periodic series" `Quick test_sampler_periodic_series;

@@ -239,6 +239,37 @@ let test_metastable_regression () =
     "protected arm commits at least as much" true
     (protected_arm.Experiments.Chaos.committed >= control.Experiments.Chaos.committed)
 
+(* --- Observatory counters across the warm-up reset ------------------ *)
+
+let test_observatory_counters_never_negative () =
+  (* The overload counters are deltas of run totals, so the window
+     spanning [run_for]'s warm-up reset of the Metrics window must not
+     go negative (a window-counter source gives txn.shed = -23172). *)
+  let config = { base_config with Core.Config.admission_limit = 4 } in
+  let cluster = make_cluster ~config Core.Consistency.Coarse in
+  Core.Client.open_loop_many cluster ~n:8 ~first_sid:0 ~rate_tps:20_000.0
+    (Workload.Microbench.workload params);
+  let ts = Core.Cluster.start_observatory ~window_ms:100.0 cluster in
+  Core.Cluster.run_for cluster ~warmup_ms:250.0 ~measure_ms:250.0;
+  Core.Cluster.stop_observatory cluster ts;
+  let windows = Obs.Timeseries.windows ts in
+  List.iter
+    (fun (w : Obs.Timeseries.window) ->
+      List.iter
+        (fun (name, n) ->
+          if n < 0 then Alcotest.failf "window %d: %s = %d" w.seq name n)
+        w.counters)
+    windows;
+  let m = Core.Cluster.metrics cluster in
+  let shed =
+    List.fold_left
+      (fun acc (w : Obs.Timeseries.window) -> acc + List.assoc "txn.shed" w.counters)
+      0 windows
+  in
+  Alcotest.(check bool) "sheds on both sides of the reset" true
+    (Core.Metrics.shed m > 0 && Core.Metrics.shed_total m > Core.Metrics.shed m);
+  Alcotest.(check int) "windowed sheds sum to the run total" (Core.Metrics.shed_total m) shed
+
 let suites =
   [
     ( "overload",
@@ -255,6 +286,8 @@ let suites =
           test_deadline_expiry;
         Alcotest.test_case "open-loop arrivals are deterministic" `Quick
           test_open_loop_deterministic;
+        Alcotest.test_case "observatory counters never negative" `Quick
+          test_observatory_counters_never_negative;
         Alcotest.test_case "metastable-failure regression" `Slow
           test_metastable_regression;
       ] );
