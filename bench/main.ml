@@ -165,6 +165,26 @@ let writeset_of_size n =
                [| Storage.Value.Int i; Storage.Value.Int 0; Storage.Value.Text "t" |];
          }))
 
+(* A clean runlog of [n] transactions, half of them updates spread
+   over 64 keys, each acked before the next begins. *)
+let checker_log n =
+  List.init n (fun i ->
+      {
+        Check.Runlog.tid = i;
+        session = i mod 10;
+        begin_time = float_of_int i;
+        ack_time = float_of_int i +. 0.5;
+        snapshot_version = i;
+        commit_version = (if i mod 2 = 0 then Some (i + 1) else None);
+        epoch = 0;
+        lb_epoch = 0;
+        table_set = [ "t" ];
+        tier = Check.Runlog.Strong;
+        tables_written = (if i mod 2 = 0 then [ "t" ] else []);
+        write_keys = (if i mod 2 = 0 then [ ("t", string_of_int (i mod 64)) ] else []);
+        trace = None;
+      })
+
 let component_tests () =
   let open Bechamel in
   let db = bench_fixture () in
@@ -201,24 +221,7 @@ let component_tests () =
       (Staged.stage (fun () -> ignore (Storage.Writeset.conflicts small big)))
   in
   let checker =
-    let log =
-      List.init 200 (fun i ->
-          {
-            Check.Runlog.tid = i;
-            session = i mod 10;
-            begin_time = float_of_int i;
-            ack_time = float_of_int i +. 0.5;
-            snapshot_version = i;
-            commit_version = (if i mod 2 = 0 then Some (i + 1) else None);
-            epoch = 0;
-            lb_epoch = 0;
-            table_set = [ "t" ];
-            tier = Check.Runlog.Strong;
-            tables_written = (if i mod 2 = 0 then [ "t" ] else []);
-            write_keys = (if i mod 2 = 0 then [ ("t", string_of_int i) ] else []);
-            trace = None;
-          })
-    in
+    let log = checker_log 200 in
     Test.make ~name:"strong-consistency check (200 txns)"
       (Staged.stage (fun () -> ignore (Check.Runlog.strong_consistency log)))
   in
@@ -233,6 +236,28 @@ let component_tests () =
   in
   Test.make_grouped ~name:"components"
     [ mvcc_point_read; txn_update; index_select; ws_conflict; checker; sim_events ]
+
+(* Output verification at the size of a benchmark window: a quadratic
+   checker or a sorting fingerprint shows here, not at 200 records. *)
+let verification_tests () =
+  let open Bechamel in
+  let log = checker_log 5_000 in
+  let p = Workload.Microbench.default in
+  let db = Storage.Database.create () in
+  List.iter
+    (fun schema -> ignore (Storage.Database.create_table db schema))
+    (Workload.Microbench.schemas p);
+  Workload.Microbench.load p db;
+  Test.make_grouped ~name:"verification"
+    [
+      Test.make ~name:"strong-consistency check (5000 txns)"
+        (Staged.stage (fun () -> ignore (Check.Runlog.strong_consistency log)));
+      Test.make ~name:"first-committer-wins check (5000 txns)"
+        (Staged.stage (fun () -> ignore (Check.Runlog.first_committer_wins log)));
+      Test.make
+        ~name:(Printf.sprintf "database fingerprint (%dx%d rows)" p.tables p.rows)
+        (Staged.stage (fun () -> ignore (Storage.Database.fingerprint db ~at:0)));
+    ]
 
 (* Certification conflict check, Linear log scan vs Keyed index probe,
    with the requesting snapshot 1 / 100 / 10k versions behind a
@@ -381,6 +406,7 @@ let run_bechamel () =
       (List.sort compare !rows)
   in
   report "Component micro-benchmarks (Bechamel)" (component_tests ());
+  report "Output verification micro-benchmarks (Bechamel)" (verification_tests ());
   report "Certification index micro-benchmarks (Bechamel)" (certification_tests ());
   report "Interned vs boxed conflict keys (Bechamel)" (intern_tests ());
   report "Flat vs boxed codec (Bechamel)" (codec_tests ())

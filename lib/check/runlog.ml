@@ -53,27 +53,102 @@ let pp_violation ppf v =
     v.second v.second.begin_time v.second.ack_time v.second.epoch v.second.lb_epoch
     v.reason
 
-(* All pairs (ti, tj) such that ti's ack precedes tj's begin. Sorting by
-   begin time lets us stop the inner scan early for long logs. *)
-let precedence_pairs records ~relevant ~check =
-  let by_begin = List.sort (fun a b -> compare a.begin_time b.begin_time) records in
-  let arr = Array.of_list by_begin in
-  let violations = ref [] in
-  let n = Array.length arr in
-  for i = 0 to n - 1 do
-    let ti = arr.(i) in
-    match ti.commit_version with
-    | None -> ()
-    | Some vi ->
-      for j = 0 to n - 1 do
-        let tj = arr.(j) in
-        if ti.tid <> tj.tid && ti.ack_time < tj.begin_time && relevant ti tj then
-          match check vi ti tj with
-          | None -> ()
-          | Some reason -> violations := { first = ti; second = tj; reason } :: !violations
-      done
-  done;
-  List.rev !violations
+(* --- Ack-time index -------------------------------------------------- *)
+
+(* Candidates for the earlier side of a precedence pair, sorted by ack
+   time, under a max segment tree of their values. [acked_above]
+   reports every candidate acked strictly before a time whose value
+   exceeds a threshold, in ack order, in O((hits + 1) log n): a query
+   that no earlier candidate can violate costs one binary search and
+   one comparison at the root. Scratch is flat int and float arrays, so
+   indexing a window's log allocates no per-record heap objects. *)
+module Ack_index = struct
+  type t = {
+    acks : float array;  (* ascending *)
+    ids : int array;  (* candidate at each ack position *)
+    size : int;  (* leaf count, a power of two *)
+    tree : int array;  (* node [k] holds the max of its leaves; root 1 *)
+  }
+
+  (* [ids] are caller-side handles; [create] sorts the array in place. *)
+  let create ids ~ack ~value =
+    Array.stable_sort (fun a b -> Float.compare (ack a) (ack b)) ids;
+    let n = Array.length ids in
+    let size = ref 1 in
+    while !size < n do
+      size := 2 * !size
+    done;
+    let size = !size in
+    let tree = Array.make (2 * size) min_int in
+    Array.iteri (fun p i -> tree.(size + p) <- value i) ids;
+    for k = size - 1 downto 1 do
+      tree.(k) <- max tree.(2 * k) tree.((2 * k) + 1)
+    done;
+    { acks = Array.map ack ids; ids; size; tree }
+
+  let acked_above t ~before ~above f =
+    (* Number of candidates acked strictly before [before]. *)
+    let rec count lo hi =
+      if lo >= hi then lo
+      else
+        let m = (lo + hi) / 2 in
+        if t.acks.(m) < before then count (m + 1) hi else count lo m
+    in
+    let k = count 0 (Array.length t.acks) in
+    let rec go node lo hi =
+      if lo < k && t.tree.(node) > above then
+        if hi - lo = 1 then f t.ids.(lo)
+        else begin
+          let mid = (lo + hi) / 2 in
+          go (2 * node) lo mid;
+          go ((2 * node) + 1) mid hi
+        end
+    in
+    go 1 0 t.size
+end
+
+let by_begin records =
+  Array.of_list (List.sort (fun a b -> compare a.begin_time b.begin_time) records)
+
+(* All violating pairs (ti, tj) such that ti committed and its ack
+   precedes tj's begin, [target tj] and [relevant ti tj] (default: any)
+   hold, and [check vi ti tj] names a reason; in begin order of ti, then
+   of tj.
+
+   Contract: [check] returns [Some _] only when [tj.snapshot_version <
+   vi]. Every caller's check has that form (a bound [k] is >= 0), so
+   the index only has to visit, for each tj, the commits acked before
+   it began with a version above its snapshot — none at all on a clean
+   log. *)
+let precedence_pairs ?(relevant = fun _ _ -> true) records ~target ~check =
+  (* Most logs carry no tiered reads, so the tier checkers stop here. *)
+  if not (List.exists target records) then []
+  else
+    let arr = by_begin records in
+    let committed = ref [] in
+    Array.iteri
+      (fun i r -> if r.commit_version <> None then committed := i :: !committed)
+      arr;
+    let index =
+      Ack_index.create (Array.of_list !committed)
+        ~ack:(fun i -> arr.(i).ack_time)
+        ~value:(fun i -> Option.get arr.(i).commit_version)
+    in
+    let found = ref [] in
+    Array.iter
+      (fun tj ->
+        if target tj then
+          Ack_index.acked_above index ~before:tj.begin_time ~above:tj.snapshot_version
+            (fun i ->
+              let ti = arr.(i) in
+              if ti.tid <> tj.tid && relevant ti tj then
+                match check (Option.get ti.commit_version) ti tj with
+                | None -> ()
+                | Some reason -> found := (i, { first = ti; second = tj; reason }) :: !found))
+      arr;
+    (* Reversed, [found] is in tj order; a stable sort on ti makes it (ti,
+       tj) order. *)
+    List.rev !found |> List.stable_sort (fun (i, _) (i', _) -> compare i i') |> List.map snd
 
 (* The mode guarantees below constrain transactions that asked for the
    mode's class: a record served under a weaker read tier is judged by
@@ -82,7 +157,7 @@ let precedence_pairs records ~relevant ~check =
 
 let strong_consistency records =
   precedence_pairs records
-    ~relevant:(fun _ tj -> tj.tier = Strong)
+    ~target:(fun tj -> tj.tier = Strong)
     ~check:(fun vi ti tj ->
       if tj.snapshot_version >= vi then None
       else
@@ -94,7 +169,8 @@ let strong_consistency records =
 let fine_strong_consistency records =
   let intersects a b = List.exists (fun x -> List.mem x b) a in
   precedence_pairs records
-    ~relevant:(fun ti tj -> tj.tier = Strong && intersects ti.tables_written tj.table_set)
+    ~target:(fun tj -> tj.tier = Strong)
+    ~relevant:(fun ti tj -> intersects ti.tables_written tj.table_set)
     ~check:(fun vi ti tj ->
       if tj.snapshot_version >= vi then None
       else
@@ -105,7 +181,8 @@ let fine_strong_consistency records =
 
 let session_consistency records =
   precedence_pairs records
-    ~relevant:(fun ti tj -> tj.tier = Strong && ti.session = tj.session)
+    ~target:(fun tj -> tj.tier = Strong)
+    ~relevant:(fun ti tj -> ti.session = tj.session)
     ~check:(fun vi ti tj ->
       if tj.snapshot_version >= vi then None
       else
@@ -114,42 +191,67 @@ let session_consistency records =
              "session %d: T%d committed v%d before T%d began, but T%d read snapshot v%d"
              ti.session ti.tid vi tj.tid tj.tid tj.snapshot_version))
 
+(* Only writers of a common (table, key) can conflict, so the pairs come
+   from a per-key index. Among one key's writers sorted by commit
+   version, [a] can overlap [b] only if [va > sb]; scanning back from
+   [b] stops at the first writer at or below [b]'s snapshot, so on a
+   clean log each writer costs one comparison. Pairs conflicting on
+   several keys are found once per key and deduplicated; the result is
+   in log order of the first, then of the second. *)
 let first_committer_wins records =
   let updates =
-    List.filter_map
-      (fun r -> match r.commit_version with Some v -> Some (r, v) | None -> None)
-      records
+    Array.of_list
+      (List.filter_map
+         (fun r -> match r.commit_version with Some v -> Some (r, v) | None -> None)
+         records)
   in
-  let conflict a b = List.exists (fun k -> List.mem k b.write_keys) a.write_keys in
-  let rec pairs acc = function
-    | [] -> List.rev acc
-    | (ri, vi) :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc (rj, vj) ->
+  let n = Array.length updates in
+  let version = Array.map snd updates in
+  let snapshot = Array.map (fun (r, _) -> r.snapshot_version) updates in
+  let writers = Hashtbl.create 1024 in
+  Array.iteri
+    (fun i (r, _) ->
+      List.iter
+        (fun key ->
+          match Hashtbl.find_opt writers key with
+          | None -> Hashtbl.add writers key (ref [ i ])
+          | Some l -> l := i :: !l)
+        r.write_keys)
+    updates;
+  let pairs = ref [] in
+  Hashtbl.iter
+    (fun _ l ->
+      let w = Array.of_list !l in
+      Array.stable_sort (fun a b -> compare version.(a) version.(b)) w;
+      Array.iteri
+        (fun q b ->
+          let p = ref (q - 1) in
+          while !p >= 0 && version.(w.(!p)) > snapshot.(b) do
             (* Windows (snapshot, commit] overlap iff each commit falls
                after the other's snapshot. *)
-            let overlap = vi > rj.snapshot_version && vj > ri.snapshot_version in
-            if overlap && conflict ri rj then
-              {
-                first = ri;
-                second = rj;
-                reason =
-                  Printf.sprintf
-                    "write-write conflict between concurrent T%d (v%d..%d] and T%d (v%d..%d]"
-                    ri.tid ri.snapshot_version vi rj.tid rj.snapshot_version vj;
-              }
-              :: acc
-            else acc)
-          acc rest
-      in
-      pairs acc rest
-  in
-  pairs [] updates
+            let a = w.(!p) in
+            if a <> b && version.(b) > snapshot.(a) then
+              pairs := (min a b * n) + max a b :: !pairs;
+            decr p
+          done)
+        w)
+    writers;
+  List.sort_uniq compare !pairs
+  |> List.map (fun pair ->
+         let ri, vi = updates.(pair / n) and rj, vj = updates.(pair mod n) in
+         {
+           first = ri;
+           second = rj;
+           reason =
+             Printf.sprintf
+               "write-write conflict between concurrent T%d (v%d..%d] and T%d (v%d..%d]"
+               ri.tid ri.snapshot_version vi rj.tid rj.snapshot_version vj;
+         })
 
 let bounded_staleness ~k records =
+  if k < 0 then invalid_arg "Runlog.bounded_staleness: negative k";
   precedence_pairs records
-    ~relevant:(fun _ tj -> tj.tier = Strong)
+    ~target:(fun tj -> tj.tier = Strong)
     ~check:(fun vi ti tj ->
       if tj.snapshot_version >= vi - k then None
       else
@@ -158,41 +260,55 @@ let bounded_staleness ~k records =
              "T%d read snapshot v%d, more than %d versions behind T%d's commit v%d"
              tj.tid tj.snapshot_version k ti.tid vi))
 
-let monotone_session_snapshots records =
-  let by_session = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let l = Option.value (Hashtbl.find_opt by_session r.session) ~default:[] in
-      Hashtbl.replace by_session r.session (r :: l))
-    records;
-  let violations = ref [] in
-  Hashtbl.iter
-    (fun _ rs ->
-      let ordered = List.sort (fun a b -> compare a.begin_time b.begin_time) rs in
-      let rec walk = function
-        | a :: (b :: _ as rest) ->
-          (* Only constrain non-overlapping pairs: a acked before b began.
-             A weaker-tier [b] is exempt here (eventual reads may go back
-             in time; causal ones are judged by [tier_monotone_reads]). *)
-          if
-            b.tier = Strong && a.ack_time < b.begin_time
-            && b.snapshot_version < a.snapshot_version
-          then
-            violations :=
-              {
-                first = a;
-                second = b;
-                reason =
-                  Printf.sprintf "session snapshot went back in time: v%d then v%d"
-                    a.snapshot_version b.snapshot_version;
-              }
-              :: !violations;
-          walk rest
-        | [ _ ] | [] -> ()
-      in
-      walk ordered)
-    by_session;
-  List.rev !violations
+(* Every same-session pair (a, b) with a before b in begin order, a
+   acked before b began, [target b], and b's snapshot older than a's;
+   sessions in [Hashtbl] order, then in begin order of a, then of b.
+   Per session, an ack index over snapshots finds the pairs in
+   O((pairs + 1) log n) per record. *)
+let session_regressions records ~target ~reason =
+  if not (List.exists target records) then []
+  else
+    let by_session = Hashtbl.create 16 in
+    List.iter
+      (fun r ->
+        let l = Option.value (Hashtbl.find_opt by_session r.session) ~default:[] in
+        Hashtbl.replace by_session r.session (r :: l))
+      records;
+    let violations = ref [] in
+    Hashtbl.iter
+      (fun _ rs ->
+        let arr = by_begin rs in
+        let index =
+          Ack_index.create
+            (Array.init (Array.length arr) Fun.id)
+            ~ack:(fun i -> arr.(i).ack_time)
+            ~value:(fun i -> arr.(i).snapshot_version)
+        in
+        let found = ref [] in
+        Array.iteri
+          (fun q b ->
+            if target b then
+              Ack_index.acked_above index ~before:b.begin_time ~above:b.snapshot_version
+                (fun p ->
+                  (* [p > q] only for a record acked before it began. *)
+                  if p < q then
+                    let a = arr.(p) in
+                    found := (p, { first = a; second = b; reason = reason a b }) :: !found))
+          arr;
+        List.rev !found
+        |> List.stable_sort (fun (p, _) (p', _) -> compare p p')
+        |> List.iter (fun (_, v) -> violations := v :: !violations))
+      by_session;
+    List.rev !violations
+
+(* A weaker-tier [b] is exempt here: eventual reads may go back in time,
+   and causal ones are judged by [tier_monotone_reads]. *)
+let monotone_session_snapshots =
+  session_regressions
+    ~target:(fun b -> b.tier = Strong)
+    ~reason:(fun a b ->
+      Printf.sprintf "session snapshot went back in time: v%d then v%d" a.snapshot_version
+        b.snapshot_version)
 
 (* Epoch fencing: commit versions must be partitioned by epoch — for any
    two epochs e < e', every version committed under e lies strictly below
@@ -286,8 +402,8 @@ let election_safety records =
    pairs do not exempt cross-epoch pairs. *)
 let lb_floor_preservation records =
   precedence_pairs records
-    ~relevant:(fun ti tj ->
-      tj.lb_epoch > ti.lb_epoch && ti.session = tj.session && tj.tier = Causal)
+    ~target:(fun tj -> tj.tier = Causal)
+    ~relevant:(fun ti tj -> tj.lb_epoch > ti.lb_epoch && ti.session = tj.session)
     ~check:(fun vi ti tj ->
       if tj.snapshot_version >= vi then None
       else
@@ -306,7 +422,7 @@ let lb_floor_preservation records =
    the bound comes from the record itself. *)
 let tier_bounded_staleness records =
   precedence_pairs records
-    ~relevant:(fun _ tj -> match tj.tier with Bounded _ -> true | _ -> false)
+    ~target:(fun tj -> match tj.tier with Bounded _ -> true | _ -> false)
     ~check:(fun vi ti tj ->
       match tj.tier with
       | Bounded { versions; ms } ->
@@ -332,7 +448,8 @@ let tier_bounded_staleness records =
    session was already acknowledged for. *)
 let tier_causal_ryw records =
   precedence_pairs records
-    ~relevant:(fun ti tj -> tj.tier = Causal && ti.session = tj.session)
+    ~target:(fun tj -> tj.tier = Causal)
+    ~relevant:(fun ti tj -> ti.session = tj.session)
     ~check:(fun vi ti tj ->
       if tj.snapshot_version >= vi then None
       else
@@ -345,43 +462,14 @@ let tier_causal_ryw records =
 (* Causal = monotonic reads: within a session, a causal read never
    observes an older snapshot than any earlier acknowledged transaction
    of the same session (whatever tier that one ran under). *)
-let tier_monotone_reads records =
-  let by_session = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let l = Option.value (Hashtbl.find_opt by_session r.session) ~default:[] in
-      Hashtbl.replace by_session r.session (r :: l))
-    records;
-  let violations = ref [] in
-  Hashtbl.iter
-    (fun _ rs ->
-      let ordered = List.sort (fun a b -> compare a.begin_time b.begin_time) rs in
-      let rec walk = function
-        | a :: (_ :: _ as rest) ->
-          List.iter
-            (fun b ->
-              if
-                b.tier = Causal && a.ack_time < b.begin_time
-                && b.snapshot_version < a.snapshot_version
-              then
-                violations :=
-                  {
-                    first = a;
-                    second = b;
-                    reason =
-                      Printf.sprintf
-                        "causal read T%d went back in time: session %d had observed \
-                         v%d (T%d), then read snapshot v%d"
-                        b.tid b.session a.snapshot_version a.tid b.snapshot_version;
-                  }
-                  :: !violations)
-            rest;
-          walk rest
-        | [ _ ] | [] -> ()
-      in
-      walk ordered)
-    by_session;
-  List.rev !violations
+let tier_monotone_reads =
+  session_regressions
+    ~target:(fun b -> b.tier = Causal)
+    ~reason:(fun a b ->
+      Printf.sprintf
+        "causal read T%d went back in time: session %d had observed v%d (T%d), then read \
+         snapshot v%d"
+        b.tid b.session a.snapshot_version a.tid b.snapshot_version)
 
 (* --- Flat record sink ------------------------------------------------ *)
 

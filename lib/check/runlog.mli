@@ -21,7 +21,25 @@
     under. The mode-level guarantees above constrain [Strong]-class
     records only — a read that explicitly requested a weaker class is
     judged by its own tier checker ({!tier_bounded_staleness},
-    {!tier_causal_ryw}, {!tier_monotone_reads}) instead. *)
+    {!tier_causal_ryw}, {!tier_monotone_reads}) instead.
+
+    {b Cost.} Every checker is near-linear on a clean log; the costs
+    below are for [n] records and [r] reported violations. The
+    precedence checkers ({!strong_consistency},
+    {!fine_strong_consistency}, {!session_consistency},
+    {!bounded_staleness}, {!lb_floor_preservation},
+    {!tier_bounded_staleness}, {!tier_causal_ryw}) share one contract: a
+    pair (Ti, Tj) is a violation only if Ti committed version [vi], was
+    acked before Tj began, and [Tj.snapshot_version < vi]. An index over
+    commits by ack time therefore visits, for each Tj, only the commits
+    acked before it began with a version above its snapshot, in O((h +
+    1) log n) for [h] such commits; [n log n] in all when [h] is zero,
+    as on a clean log in the eager and coarse modes. In the fine and
+    session modes a Tj may legitimately miss commits outside its scope,
+    and [h] counts those. These checkers return violations in begin
+    order of Ti, then of Tj. A checker whose constrained records are
+    absent (a tier checker on a log with no reads of its tier) returns
+    after one pass over the log. *)
 
 (** Read class a record was served under — a decoupled mirror of
     [Core.Consistency.read_tier] (this library judges logs; it does not
@@ -76,16 +94,25 @@ val fine_strong_consistency : record list -> violation list
 val session_consistency : record list -> violation list
 
 val first_committer_wins : record list -> violation list
+(** Pairs in log order of the first record, then of the second, each
+    once however many keys they share. O((n + r) log (n + r)) when every
+    snapshot precedes its commit, via a per-(table, key) writer index. *)
 
 val bounded_staleness : k:int -> record list -> violation list
 (** Relaxed-currency check: if Ti's commit was acknowledged before Tj
     began, Tj's snapshot trails Ti's commit version by at most [k].
-    [bounded_staleness ~k:0] coincides with {!strong_consistency}. *)
+    [bounded_staleness ~k:0] coincides with {!strong_consistency}.
+    Raises [Invalid_argument] if [k < 0]. *)
 
 val monotone_session_snapshots : record list -> violation list
-(** Within a session, a later transaction never reads an older snapshot
-    than an earlier one's observed commit — the "never goes back in
-    time" session guarantee. *)
+(** Within a session, a [Strong] transaction never reads an older
+    snapshot than any transaction of the session that was acked before
+    it began — the "never goes back in time" session guarantee. Every
+    such pair is reported, not only begin-adjacent ones: an open-loop
+    session has many transactions in flight. Sessions come in
+    unspecified order, pairs within one in begin order of the first
+    record, then of the second. O((n + r) log (n + r)), via a
+    per-session index of snapshots by ack time. *)
 
 (** {2 Read-tier contracts (docs/CONSISTENCY.md)}
 
@@ -97,7 +124,9 @@ val tier_bounded_staleness : record list -> violation list
 (** Every [Bounded]-tier read respected the bound {e it declared}: with
     [versions = Some k], its snapshot trails any previously-acked commit
     by at most [k] versions; with [ms = Some m], it includes every
-    commit acked at least [m] virtual ms before the read began. *)
+    commit acked at least [m] virtual ms before the read began. A
+    declared [k] is [>= 0], as [Core.Consistency.tier_of_string]
+    enforces; a negative one breaks the precedence contract above. *)
 
 val tier_causal_ryw : record list -> violation list
 (** Read-your-writes: a [Causal]-tier read observes every commit its own
@@ -106,7 +135,8 @@ val tier_causal_ryw : record list -> violation list
 val tier_monotone_reads : record list -> violation list
 (** Monotonic reads: a [Causal]-tier read never observes an older
     snapshot than any earlier acknowledged transaction of its session
-    (whatever tier that one ran under). *)
+    (whatever tier that one ran under). Order and cost as
+    {!monotone_session_snapshots}. *)
 
 val epoch_fencing : record list -> violation list
 (** Commit versions are partitioned by certifier epoch: for any two
@@ -114,14 +144,14 @@ val epoch_fencing : record list -> violation list
     every version committed under e'. A violation is split brain — a
     deposed primary released a decision past the promotion point of the
     epoch that superseded it. Trivially empty when every record carries
-    epoch 0. *)
+    epoch 0. O(n + e log e) for [e] epochs. *)
 
 val election_safety : record list -> violation list
 (** The certification log is a single history: no two committed
     transactions occupy the same commit version. Two records sharing a
     version is a divergent log entry — two primaries each released a
     decision for that slot, the failure a non-quorum-intersecting
-    election permits. *)
+    election permits. O(n). *)
 
 val lb_floor_preservation : record list -> violation list
 (** LB takeovers preserve handed-out guarantees: if Ti's commit was

@@ -162,17 +162,14 @@ let of_snapshot ?intern data =
   t.version <- version;
   t
 
+(* Each row hashes as the table name's hash mixed with every key and row
+   value; the name is hashed once per table. XOR makes the sum
+   independent of table and row order. *)
 let fingerprint t ~at =
-  let row_hash table_name key row =
-    let h = ref (Hashtbl.hash table_name) in
-    let mix v = h := (!h * 31) + Value.hash v in
-    Array.iter mix key;
-    Array.iter mix row;
-    !h land max_int
-  in
+  let mix = Array.fold_left (fun h v -> (h * 31) + Value.hash v) in
   Hashtbl.fold
     (fun name tbl acc ->
+      let seed = Hashtbl.hash name in
       Table.fold_visible tbl ~at ~init:acc ~f:(fun acc key row ->
-          acc lxor row_hash name key row))
+          acc lxor (mix (mix seed key) row land max_int)))
     t.tables 0
-

@@ -138,11 +138,18 @@ let iter_keys_range t ?lo ?hi f =
   in
   go start
 
+(* Walks the chains in place: no directory sort, no second lookup. *)
 let fold_visible t ~at ~init ~f =
-  Array.fold_left
-    (fun acc key ->
-      match read t key ~at with None -> acc | Some row -> f acc key row)
-    init (dir t)
+  Key_tbl.fold
+    (fun key chain acc ->
+      let rec visible = function
+        | [] -> acc
+        | { version; row } :: rest -> (
+          if version > at then visible rest
+          else match row with None -> acc | Some row -> f acc key row)
+      in
+      visible !chain)
+    t.chains init
 
 let fold_chains t ~init ~f =
   Array.fold_left

@@ -45,7 +45,8 @@ val iter_keys_range : t -> ?lo:key -> ?hi:key -> (key -> unit) -> unit
     bound selects all composite keys starting at/before that prefix. *)
 
 val fold_visible : t -> at:int -> init:'a -> f:('a -> key -> Value.t array -> 'a) -> 'a
-(** Fold over rows visible at snapshot [at], ascending key order. *)
+(** Fold over rows visible at snapshot [at], in unspecified order. Use
+    {!iter_keys_ordered} where order matters. *)
 
 val fold_chains :
   t -> init:'a -> f:('a -> key -> (int * Value.t array option) list -> 'a) -> 'a

@@ -52,5 +52,7 @@ val fold_chains :
 
 val fold_visible :
   t -> at:int -> init:'a -> f:('a -> Mvcc.key -> Value.t array -> 'a) -> 'a
+(** Fold over rows visible at snapshot [at], in unspecified order
+    ({!scan} is the ordered form). *)
 
 val gc : t -> keep_after:int -> int

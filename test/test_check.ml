@@ -242,6 +242,113 @@ let prop_strong_monotone_in_snapshot =
       let v lo = List.length (Runlog.strong_consistency (log lo)) in
       v (snap_lo + extra) <= v snap_lo)
 
+(* The counterexample to a begin-adjacent walk: one session keeps three
+   transactions in flight. c began after a was acked but read an older
+   snapshot; b sits between them in begin order and hides the pair. *)
+let test_runlog_monotone_overlapping () =
+  let log =
+    [
+      record ~session:1 1 ~begin_:0.0 ~ack:10.0 ~snapshot:5 ~commit:None;
+      record ~session:1 2 ~begin_:5.0 ~ack:20.0 ~snapshot:3 ~commit:None;
+      record ~session:1 3 ~begin_:11.0 ~ack:12.0 ~snapshot:4 ~commit:None;
+    ]
+  in
+  match Runlog.monotone_session_snapshots log with
+  | [ v ] ->
+    Alcotest.(check (pair int int)) "a -> c" (1, 3) (v.Runlog.first.tid, v.Runlog.second.tid)
+  | vs -> Alcotest.failf "expected exactly the pair a -> c, got %d" (List.length vs)
+
+(* --- Differential: indexed checkers against the quadratic oracle --- *)
+
+(* Small random logs dense in the corner cases: stale snapshots,
+   duplicate commit versions, snapshot >= commit, equal begin and ack
+   times (and the odd ack before its begin), every tier, several
+   sessions, certifier and LB epochs, and repeated written keys. *)
+let log_gen =
+  let open QCheck.Gen in
+  let tables = [ "a"; "b"; "c" ] in
+  let subset = list_size (int_range 0 2) (oneofl tables) in
+  let tier =
+    frequency
+      [
+        (4, return Runlog.Strong);
+        ( 2,
+          map2
+            (fun versions ms -> Runlog.Bounded { versions; ms })
+            (opt (oneofl [ 0; 1; 3 ]))
+            (opt (oneofl [ 0.0; 2.0; 5.0 ])) );
+        (2, return Runlog.Causal);
+        (1, return Runlog.Eventual);
+      ]
+  in
+  let one tid =
+    let* session = int_range 0 3 in
+    let* begin_ = int_range 0 30 in
+    let* dur = int_range (-1) 6 in
+    let* snapshot = int_range 0 20 in
+    let* commit = opt (map (fun d -> snapshot + d) (int_range (-2) 6)) in
+    let* epoch = int_range 0 2 in
+    let* lb_epoch = int_range 0 2 in
+    let* tier = tier in
+    let* table_set = subset in
+    let* written = subset in
+    let* keys =
+      list_size (int_range 0 3) (pair (oneofl tables) (oneofl [ "k1"; "k2"; "k3" ]))
+    in
+    return
+      (record ~session ~table_set ~written ~keys ~epoch ~lb_epoch ~tier tid
+         ~begin_:(float_of_int begin_)
+         ~ack:(float_of_int (begin_ + dur))
+         ~snapshot ~commit)
+  in
+  let* n = int_range 0 40 in
+  (* Mostly distinct tids, with the odd repeat. *)
+  let* tids =
+    list_repeat n (frequency [ (19, return None); (1, map Option.some (int_range 0 5)) ])
+  in
+  flatten_l (List.mapi (fun i t -> one (Option.value t ~default:(100 + i))) tids)
+
+let differential_cases =
+  [
+    ("strong_consistency", Runlog.strong_consistency, Runlog_oracle.strong_consistency);
+    ( "fine_strong_consistency",
+      Runlog.fine_strong_consistency,
+      Runlog_oracle.fine_strong_consistency );
+    ("session_consistency", Runlog.session_consistency, Runlog_oracle.session_consistency);
+    ("first_committer_wins", Runlog.first_committer_wins, Runlog_oracle.first_committer_wins);
+    ("bounded_staleness 0", Runlog.bounded_staleness ~k:0, Runlog_oracle.bounded_staleness ~k:0);
+    ("bounded_staleness 1", Runlog.bounded_staleness ~k:1, Runlog_oracle.bounded_staleness ~k:1);
+    ("bounded_staleness 3", Runlog.bounded_staleness ~k:3, Runlog_oracle.bounded_staleness ~k:3);
+    ( "monotone_session_snapshots",
+      Runlog.monotone_session_snapshots,
+      Runlog_oracle.monotone_session_snapshots );
+    ("epoch_fencing", Runlog.epoch_fencing, Runlog_oracle.epoch_fencing);
+    ("election_safety", Runlog.election_safety, Runlog_oracle.election_safety);
+    ("lb_floor_preservation", Runlog.lb_floor_preservation, Runlog_oracle.lb_floor_preservation);
+    ( "tier_bounded_staleness",
+      Runlog.tier_bounded_staleness,
+      Runlog_oracle.tier_bounded_staleness );
+    ("tier_causal_ryw", Runlog.tier_causal_ryw, Runlog_oracle.tier_causal_ryw);
+    ("tier_monotone_reads", Runlog.tier_monotone_reads, Runlog_oracle.tier_monotone_reads);
+  ]
+
+let triples =
+  List.map (fun v -> (v.Runlog.first.Runlog.tid, v.Runlog.second.Runlog.tid, v.Runlog.reason))
+
+let prop_matches_oracle (name, check, oracle) =
+  QCheck.Test.make ~name:("runlog " ^ name ^ " matches the quadratic oracle") ~count:300
+    (QCheck.make log_gen) (fun log -> triples (check log) = triples (oracle log))
+
+(* The differential properties only bite if the logs they draw violate
+   every checker: count violations over a fixed sample. *)
+let test_generator_not_vacuous () =
+  let logs = QCheck.Gen.generate ~rand:(Random.State.make [| 14 |]) ~n:300 log_gen in
+  List.iter
+    (fun (name, check, _) ->
+      let hits = List.fold_left (fun acc log -> acc + List.length (check log)) 0 logs in
+      if hits = 0 then Alcotest.failf "%s: no violations in 300 generated logs" name)
+    differential_cases
+
 (* --- Static SI serializability analysis --- *)
 
 let test_si_write_skew_flagged () =
@@ -336,8 +443,13 @@ let suites =
         Alcotest.test_case "session scoping" `Quick test_runlog_session_scoping;
         Alcotest.test_case "first-committer-wins" `Quick test_runlog_fcw;
         Alcotest.test_case "monotone session snapshots" `Quick test_runlog_monotone_session;
+        Alcotest.test_case "monotone snapshots, overlapping session" `Quick
+          test_runlog_monotone_overlapping;
+        Alcotest.test_case "generated logs violate every checker" `Quick
+          test_generator_not_vacuous;
       ]
-      @ qsuite [ prop_strong_monotone_in_snapshot ] );
+      @ qsuite (prop_strong_monotone_in_snapshot :: List.map prop_matches_oracle differential_cases)
+    );
     ( "check.si_analysis",
       [
         Alcotest.test_case "write skew flagged" `Quick test_si_write_skew_flagged;

@@ -771,6 +771,101 @@ let test_fingerprint_detects_divergence () =
   Alcotest.(check bool) "divergent databases differ" true
     (Database.fingerprint a ~at:0 <> Database.fingerprint b ~at:1)
 
+(* --- Fingerprint properties --- *)
+
+let fp_schemas =
+  [
+    Schema.make ~name:"p" ~columns:[ ("id", Value.Tint); ("name", Value.Ttext) ] ~key:[ "id" ] ();
+    Schema.make ~name:"q"
+      ~columns:[ ("id", Value.Tint); ("x", Value.Tfloat); ("on", Value.Tbool) ]
+      ~key:[ "id" ] ();
+  ]
+
+let fp_db () =
+  let db = Database.create () in
+  List.iter (fun s -> ignore (Database.create_table db s)) fp_schemas;
+  db
+
+(* One commit: up to four puts or deletes (tombstones) over two tables
+   and eight keys. *)
+let fp_writeset_gen =
+  let open QCheck.Gen in
+  let op =
+    let* k = int_range 0 7 in
+    let* table = oneofl [ "p"; "q" ] in
+    let* put = frequency [ (3, return true); (1, return false) ] in
+    let* n = int_range 0 99 in
+    let row =
+      if table = "p" then [| vi k; vt (Printf.sprintf "n%d" n) |]
+      else [| vi k; Value.Float (float_of_int n /. 4.0); Value.Bool (n mod 2 = 0) |]
+    in
+    return
+      { Writeset.ws_table = table; ws_key = [| vi k |]; ws_op = (if put then Writeset.Put row else Writeset.Delete) }
+  in
+  list_size (int_range 1 4) op
+
+let fp_history_gen = QCheck.Gen.(list_size (int_range 0 30) fp_writeset_gen)
+
+let fp_build history =
+  let db = fp_db () in
+  List.iteri
+    (fun i entries -> Database.apply db (Writeset.of_entries entries) ~version:(i + 1))
+    history;
+  db
+
+(* The fingerprint's definition, folded in table-creation and key order:
+   each row hashes as its table name's hash mixed with every key and row
+   value, and rows combine by XOR. *)
+let reference_fingerprint db ~at =
+  List.fold_left
+    (fun acc name ->
+      let rows, _ = Table.scan (Database.table db name) ~at () in
+      List.fold_left
+        (fun acc (key, row) ->
+          let h = ref (Hashtbl.hash name) in
+          let mix v = h := (!h * 31) + Value.hash v in
+          Array.iter mix key;
+          Array.iter mix row;
+          acc lxor (!h land max_int))
+        acc rows)
+    0 (Database.table_names db)
+
+let prop_fingerprint_matches_reference =
+  QCheck.Test.make ~name:"fingerprint equals the ordered reference fold at every version"
+    ~count:200 (QCheck.make fp_history_gen) (fun history ->
+      let db = fp_build history in
+      List.for_all
+        (fun at -> Database.fingerprint db ~at = reference_fingerprint db ~at)
+        (List.init (Database.version db + 1) Fun.id))
+
+let prop_fingerprint_ignores_key_order =
+  QCheck.Test.make ~name:"fingerprint ignores the order keys were written in" ~count:200
+    (QCheck.make fp_history_gen) (fun history ->
+      let db = fp_build history in
+      let at = Database.version db in
+      (* The latest contents, reloaded fresh in ascending and descending
+         key order: same rows, different hash-table histories. *)
+      let reload order =
+        let copy = fp_db () in
+        List.iter
+          (fun name ->
+            let rows, _ = Table.scan (Database.table db name) ~at () in
+            Database.load copy name (order (List.map snd rows)))
+          (Database.table_names db);
+        Database.fingerprint copy ~at:0
+      in
+      let fp = Database.fingerprint db ~at in
+      reload Fun.id = fp && reload List.rev = fp)
+
+let prop_fingerprint_survives_snapshot =
+  QCheck.Test.make ~name:"fingerprint survives a snapshot round trip" ~count:200
+    (QCheck.make fp_history_gen) (fun history ->
+      let db = fp_build history in
+      let restored = Database.of_snapshot (Database.snapshot db) in
+      List.for_all
+        (fun at -> Database.fingerprint db ~at = Database.fingerprint restored ~at)
+        (List.init (Database.version db + 1) Fun.id))
+
 (* Property: random interleavings of single-key standalone transactions
    preserve the sum under commit-or-abort (atomicity). *)
 let prop_txn_atomic_transfer =
@@ -885,5 +980,12 @@ let suites =
           test_database_snapshot_rejects_garbage;
         Alcotest.test_case "fingerprint divergence" `Quick test_fingerprint_detects_divergence;
       ]
-      @ qsuite [ prop_codec_value_roundtrip; prop_codec_row_roundtrip ] );
+      @ qsuite
+          [
+            prop_codec_value_roundtrip;
+            prop_codec_row_roundtrip;
+            prop_fingerprint_matches_reference;
+            prop_fingerprint_ignores_key_order;
+            prop_fingerprint_survives_snapshot;
+          ] );
   ]
