@@ -1,139 +1,10 @@
-(* The full benchmark harness.
-
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (Table I, Figures 3-7) plus the ablation benches, printing the same
-   rows/series the paper reports.
-
-   Part 2 runs Bechamel micro-benchmarks of the core building blocks
-   (certifier conflict check, writeset application, MVCC reads, query
-   execution, history checking) so component-level regressions are
-   visible independently of the system experiments.
-
-   Set REPRO_QUICK=1 for a fast pass with smaller sweeps, and
-   REPRO_BENCH_ONLY=1 to skip Part 1 and run only the Bechamel
-   micro-benchmarks (the CI smoke configuration). *)
-
-let env_flag name =
-  match Sys.getenv_opt name with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-let quick = env_flag "REPRO_QUICK"
-let bench_only = env_flag "REPRO_BENCH_ONLY"
+(* Bechamel micro-benchmarks of the core building blocks (certifier
+   conflict check, writeset application, MVCC reads, query execution,
+   history checking), so component-level regressions are visible
+   independently of the system experiments. The paper's tables and
+   figures are regenerated by `repro all` (see EXPERIMENTS.md). *)
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
-
-let timed label f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  say "[%s took %.1fs]" label (Unix.gettimeofday () -. t0);
-  r
-
-(* --- Part 1: paper tables and figures --- *)
-
-let micro_params =
-  if quick then { Workload.Microbench.default with rows = 2_000 }
-  else Workload.Microbench.default
-
-let micro_windows = if quick then (1_000.0, 4_000.0) else (2_000.0, 8_000.0)
-let tpcw_windows = if quick then (3_000.0, 10_000.0) else (5_000.0, 20_000.0)
-let replica_counts = if quick then [ 1; 2; 4; 8 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-
-let run_table1 () = print_string (Experiments.Table1.render ())
-
-let run_fig3 () =
-  let warmup_ms, measure_ms = micro_windows in
-  let update_points =
-    if quick then [ 0; 10; 20; 40 ] else [ 0; 5; 10; 15; 20; 25; 30; 35; 40 ]
-  in
-  let points =
-    Experiments.Fig3.run ~params:micro_params ~update_points ~warmup_ms ~measure_ms ()
-  in
-  print_string (Experiments.Fig3.render points)
-
-let run_fig4 () =
-  let warmup_ms, measure_ms = micro_windows in
-  let results = Experiments.Fig4.run ~params:micro_params ~warmup_ms ~measure_ms () in
-  print_string (Experiments.Fig4.render results)
-
-let run_fig56 () =
-  let warmup_ms, measure_ms = tpcw_windows in
-  let points = Experiments.Tpcw_sweep.scaled ~replica_counts ~warmup_ms ~measure_ms () in
-  print_string (Experiments.Fig5.render points);
-  print_string (Experiments.Fig6.render points)
-
-let run_fig7 () =
-  let warmup_ms, measure_ms = tpcw_windows in
-  let points = Experiments.Tpcw_sweep.fixed ~replica_counts ~warmup_ms ~measure_ms () in
-  print_string (Experiments.Fig7.render points)
-
-let run_ablations () =
-  let measure_ms = if quick then 3_000.0 else 6_000.0 in
-  print_string
-    (Experiments.Ablation.render ~title:"Ablation: writeset shipping vs re-execution"
-       (Experiments.Ablation.apply_vs_reexec ~measure_ms ()));
-  print_string
-    (Experiments.Ablation.render ~title:"Ablation: table-set granularity"
-       (Experiments.Ablation.table_span ~measure_ms ()));
-  print_string
-    (Experiments.Ablation.render ~title:"Ablation: early certification"
-       (Experiments.Ablation.early_certification ~measure_ms ()));
-  print_string
-    (Experiments.Ablation.render ~title:"Ablation: load-balancer routing"
-       (Experiments.Ablation.routing ~measure_ms ()))
-
-(* Extension workloads: one comparative run each (TPC-C, YCSB-A). *)
-let run_extensions () =
-  let header () = say "%-8s %9s %9s %8s %9s" "mode" "TPS" "resp(ms)" "abort%" "sync(ms)" in
-  let row mode cluster =
-    let m = Core.Cluster.metrics cluster in
-    say "%-8s %9.0f %9.2f %8.2f %9.2f"
-      (Core.Consistency.to_string mode)
-      (Core.Metrics.throughput_tps m) (Core.Metrics.mean_response_ms m)
-      (100.0 *. Core.Metrics.abort_rate m)
-      (Core.Metrics.sync_delay_ms m)
-  in
-  say "%s" (Experiments.Report.section "Extension: TPC-C (8 warehouses, 40 terminals)");
-  let tpcc_params = { Workload.Tpcc.default with Workload.Tpcc.warehouses = 8 } in
-  header ();
-  List.iter
-    (fun mode ->
-      let cluster =
-        Core.Cluster.create
-          ~config:{ Core.Config.default with replicas = 4 }
-          ~mode ~schemas:Workload.Tpcc.schemas
-          ~load:(Workload.Tpcc.load tpcc_params)
-          ()
-      in
-      Core.Client.spawn_many cluster ~n:40 ~first_sid:0
-        {
-          (Workload.Tpcc.workload tpcc_params) with
-          Core.Client.think_ms = Core.Client.exp_think ~mean_ms:100.0;
-        };
-      Core.Cluster.run_for cluster ~warmup_ms:1_000.0
-        ~measure_ms:(if quick then 3_000.0 else 6_000.0);
-      row mode cluster)
-    Core.Consistency.all;
-  say "%s" (Experiments.Report.section "Extension: YCSB-A (zipf 0.99, 40 clients)");
-  header ();
-  List.iter
-    (fun mode ->
-      let cluster =
-        Core.Cluster.create
-          ~config:{ Core.Config.default with replicas = 4 }
-          ~mode
-          ~schemas:(Workload.Ycsb.schemas Workload.Ycsb.default)
-          ~load:(Workload.Ycsb.load Workload.Ycsb.default)
-          ()
-      in
-      Core.Client.spawn_many cluster ~n:40 ~first_sid:0
-        (Workload.Ycsb.workload Workload.Ycsb.default Workload.Ycsb.A);
-      Core.Cluster.run_for cluster ~warmup_ms:1_000.0
-        ~measure_ms:(if quick then 3_000.0 else 5_000.0);
-      row mode cluster)
-    Core.Consistency.all
-
-(* --- Part 2: Bechamel component micro-benchmarks --- *)
 
 let bench_fixture () =
   (* A populated standalone database for storage-level benches. *)
@@ -412,18 +283,7 @@ let run_bechamel () =
   report "Flat vs boxed codec (Bechamel)" (codec_tests ())
 
 let () =
-  say "Reproduction benchmarks — 'Strongly consistent replication for a bargain'";
-  say "mode: %s%s (set REPRO_QUICK=1 for a fast pass)\n"
-    (if quick then "quick" else "full")
-    (if bench_only then ", micro-benches only" else "");
-  if not bench_only then begin
-    timed "table1" run_table1;
-    timed "fig3" run_fig3;
-    timed "fig4" run_fig4;
-    timed "fig5+fig6" run_fig56;
-    timed "fig7" run_fig7;
-    timed "ablations" run_ablations;
-    timed "extensions" run_extensions
-  end;
-  timed "bechamel" run_bechamel;
-  say "\nDone. See EXPERIMENTS.md for the paper-vs-measured comparison."
+  say "Component micro-benchmarks — 'Strongly consistent replication for a bargain'";
+  let t0 = Unix.gettimeofday () in
+  run_bechamel ();
+  say "[bechamel took %.1fs]" (Unix.gettimeofday () -. t0)

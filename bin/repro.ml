@@ -21,13 +21,19 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let micro_windows quick =
-  if quick then (1_000.0, 4_000.0) else (2_000.0, 8_000.0)
+let print_preset f quick seed = print_string (f ~quick ~seed)
 
-let tpcw_windows quick =
-  if quick then (3_000.0, 10_000.0) else (5_000.0, 25_000.0)
-
-let with_seed seed config = { config with Core.Config.seed }
+(* Window lengths in virtual seconds, checked here once for every
+   command: a measured window must be positive, a warm-up non-negative. *)
+let seconds ~positive =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when (if positive then x > 0.0 else x >= 0.0) -> Ok x
+    | Some _ ->
+      Error (`Msg (Printf.sprintf "must be %s 0, got %s" (if positive then ">" else ">=") s))
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected seconds" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
 
 (* --- table1 --- *)
 
@@ -36,81 +42,27 @@ let table1_cmd =
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table I (database and table versions)")
     Term.(const run $ const ())
 
-(* --- fig3 --- *)
-
-let fig3 quick seed =
-  let warmup_ms, measure_ms = micro_windows quick in
-  let update_points = if quick then [ 0; 10; 20; 40 ] else [ 0; 5; 10; 15; 20; 25; 30; 35; 40 ] in
-  let params =
-    if quick then { Workload.Microbench.default with rows = 2_000 }
-    else Workload.Microbench.default
-  in
-  let points =
-    Experiments.Fig3.run
-      ~config:(with_seed seed Core.Config.default)
-      ~params ~update_points ~warmup_ms ~measure_ms ()
-  in
-  print_string (Experiments.Fig3.render points)
+(* --- fig3 .. fig7 --- *)
 
 let fig3_cmd =
   Cmd.v
     (Cmd.info "fig3" ~doc:"Reproduce Figure 3 (micro-benchmark throughput)")
-    Term.(const fig3 $ quick_arg $ seed_arg)
-
-(* --- fig4 --- *)
-
-let fig4 quick seed =
-  let warmup_ms, measure_ms = micro_windows quick in
-  let params =
-    if quick then { Workload.Microbench.default with rows = 2_000 }
-    else Workload.Microbench.default
-  in
-  let results =
-    Experiments.Fig4.run
-      ~config:(with_seed seed Core.Config.default)
-      ~params ~warmup_ms ~measure_ms ()
-  in
-  print_string (Experiments.Fig4.render results)
+    Term.(const (print_preset Experiments.Presets.fig3) $ quick_arg $ seed_arg)
 
 let fig4_cmd =
   Cmd.v
     (Cmd.info "fig4" ~doc:"Reproduce Figure 4 (latency breakdown, 25% and 100% updates)")
-    Term.(const fig4 $ quick_arg $ seed_arg)
-
-(* --- fig5 / fig6 (one scaled-load sweep feeds both) --- *)
-
-let fig56 quick seed =
-  let warmup_ms, measure_ms = tpcw_windows quick in
-  let replica_counts = if quick then [ 1; 2; 4; 8 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let points =
-    Experiments.Tpcw_sweep.scaled
-      ~config:(with_seed seed Core.Config.tpcw)
-      ~replica_counts ~warmup_ms ~measure_ms ()
-  in
-  print_string (Experiments.Fig5.render points);
-  print_string (Experiments.Fig6.render points)
+    Term.(const (print_preset Experiments.Presets.fig4) $ quick_arg $ seed_arg)
 
 let fig5_cmd =
   Cmd.v
     (Cmd.info "fig5" ~doc:"Reproduce Figures 5 and 6 (TPC-W scaled load)")
-    Term.(const fig56 $ quick_arg $ seed_arg)
-
-(* --- fig7 --- *)
-
-let fig7 quick seed =
-  let warmup_ms, measure_ms = tpcw_windows quick in
-  let replica_counts = if quick then [ 1; 2; 4; 8 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let points =
-    Experiments.Tpcw_sweep.fixed
-      ~config:(with_seed seed Core.Config.tpcw)
-      ~replica_counts ~warmup_ms ~measure_ms ()
-  in
-  print_string (Experiments.Fig7.render points)
+    Term.(const (print_preset Experiments.Presets.fig5) $ quick_arg $ seed_arg)
 
 let fig7_cmd =
   Cmd.v
     (Cmd.info "fig7" ~doc:"Reproduce Figure 7 (TPC-W fixed load response time)")
-    Term.(const fig7 $ quick_arg $ seed_arg)
+    Term.(const (print_preset Experiments.Presets.fig7) $ quick_arg $ seed_arg)
 
 (* --- batch: group certification / parallel apply sweep --- *)
 
@@ -137,42 +89,21 @@ let costs_arg =
      `apply' ablation — the regime where writeset application is the throughput \
      ceiling)."
   in
-  Arg.(value & opt (enum [ ("micro", `Micro); ("tpcw", `Tpcw); ("reexec", `Reexec) ]) `Micro
-       & info [ "costs" ] ~docv:"MODEL" ~doc)
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("micro", Experiments.Presets.Micro);
+             ("tpcw", Experiments.Presets.Tpcw);
+             ("reexec", Experiments.Presets.Reexec);
+           ])
+        Experiments.Presets.Micro
+    & info [ "costs" ] ~docv:"MODEL" ~doc)
 
 let batch quick seed cert_batch apply_parallelism clients costs =
-  let warmup_ms, measure_ms = micro_windows quick in
-  let update_points = if quick then [ 0; 10; 20 ] else [ 0; 5; 10; 15; 20 ] in
-  let params =
-    if quick then { Workload.Microbench.default with rows = 2_000 }
-    else Workload.Microbench.default
-  in
-  let config =
-    match costs with
-    | `Micro -> Core.Config.default
-    | `Tpcw -> Core.Config.tpcw
-    | `Reexec ->
-      let c = Core.Config.default in
-      {
-        c with
-        Core.Config.ws_apply_base_ms = c.Core.Config.stmt_base_ms +. c.Core.Config.commit_ms;
-        ws_apply_row_ms = c.Core.Config.row_write_ms;
-      }
-  in
-  let batched config =
-    let b = Core.Config.batched config in
-    {
-      b with
-      Core.Config.cert_batch;
-      apply_parallelism =
-        Option.value apply_parallelism ~default:b.Core.Config.apply_parallelism;
-    }
-  in
-  let points =
-    Experiments.Batch_sweep.run ~config:(with_seed seed config) ~batched ~params
-      ~clients ~update_points ~warmup_ms ~measure_ms ()
-  in
-  print_string (Experiments.Batch_sweep.render points)
+  print_string
+    (Experiments.Presets.batch ~quick ~seed ~cert_batch ~apply_parallelism ~clients ~costs)
 
 let batch_cmd =
   Cmd.v
@@ -214,164 +145,41 @@ let certindex_cmd =
 (* --- ablations --- *)
 
 let ablation which quick =
-  let measure_ms = if quick then 3_000.0 else 6_000.0 in
-  let run name =
-    match name with
-    | "apply" ->
-      print_string
-        (Experiments.Ablation.render ~title:"Ablation: writeset shipping vs re-execution"
-           (Experiments.Ablation.apply_vs_reexec ~measure_ms ()))
-    | "span" ->
-      print_string
-        (Experiments.Ablation.render ~title:"Ablation: table-set granularity"
-           (Experiments.Ablation.table_span ~measure_ms ()))
-    | "early-cert" ->
-      print_string
-        (Experiments.Ablation.render ~title:"Ablation: early certification"
-           (Experiments.Ablation.early_certification ~measure_ms ()))
-    | "routing" ->
-      print_string
-        (Experiments.Ablation.render ~title:"Ablation: load-balancer routing"
-           (Experiments.Ablation.routing ~measure_ms ()))
-    | other -> Printf.eprintf "unknown ablation %S\n" other
-  in
-  match which with
-  | "all" -> List.iter run [ "apply"; "span"; "early-cert"; "routing" ]
-  | name -> run name
+  List.iter
+    (fun a -> print_string (Experiments.Presets.ablation ~quick a))
+    (match which with Some a -> [ a ] | None -> List.map snd Experiments.Presets.ablations)
 
 let ablation_cmd =
   let which =
     let doc = "Which ablation: apply, span, early-cert, routing, or all." in
-    Arg.(value & pos 0 string "all" & info [] ~docv:"NAME" ~doc)
+    let names =
+      ("all", None) :: List.map (fun (n, a) -> (n, Some a)) Experiments.Presets.ablations
+    in
+    Arg.(value & pos 0 (enum names) None & info [] ~docv:"NAME" ~doc)
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Run the design-choice ablation benchmarks")
     Term.(const ablation $ which $ quick_arg)
 
-(* --- ycsb: the serving-benchmark extension --- *)
+(* --- ycsb, tpcc, check: one run per configuration --- *)
 
-let ycsb seed =
-  let params = Workload.Ycsb.default in
-  let config =
-    { (with_seed seed Core.Config.default) with Core.Config.replicas = 4 }
-  in
-  Printf.printf "YCSB on 4 replicas, 40 closed-loop clients, 10k records (zipf 0.99)\n\n";
-  Printf.printf "%-7s %-8s %9s %9s %8s\n" "mix" "mode" "TPS" "resp(ms)" "abort%";
-  List.iter
-    (fun mix ->
-      List.iter
-        (fun mode ->
-          let cluster =
-            Core.Cluster.create ~config ~mode ~schemas:(Workload.Ycsb.schemas params)
-              ~load:(Workload.Ycsb.load params)
-              ()
-          in
-          Core.Client.spawn_many cluster ~n:40 ~first_sid:0
-            (Workload.Ycsb.workload params mix);
-          Core.Cluster.run_for cluster ~warmup_ms:1_000.0 ~measure_ms:4_000.0;
-          let m = Core.Cluster.metrics cluster in
-          Printf.printf "%-7s %-8s %9.0f %9.2f %8.2f\n%!" (Workload.Ycsb.mix_name mix)
-            (Core.Consistency.to_string mode)
-            (Core.Metrics.throughput_tps m) (Core.Metrics.mean_response_ms m)
-            (100.0 *. Core.Metrics.abort_rate m))
-        Core.Consistency.all;
-      print_newline ())
-    [ Workload.Ycsb.A; Workload.Ycsb.B; Workload.Ycsb.C; Workload.Ycsb.D;
-      Workload.Ycsb.E; Workload.Ycsb.F ]
+let print_seeded f seed = print_string (f ~seed)
 
 let ycsb_cmd =
   Cmd.v
     (Cmd.info "ycsb" ~doc:"Run the YCSB extension workload across configurations")
-    Term.(const ycsb $ seed_arg)
-
-(* --- tpcc: the TPC-C extension --- *)
-
-let tpcc seed =
-  (* 5 terminals per warehouse: optimistic certification turns the spec's
-     hot rows (w_ytd, d_next_o_id) into write-write aborts, so contention
-     is kept at the moderate end; the abort column shows what remains. *)
-  let params = { Workload.Tpcc.default with Workload.Tpcc.warehouses = 8 } in
-  let config = { (with_seed seed Core.Config.default) with Core.Config.replicas = 4 } in
-  Printf.printf
-    "TPC-C on 4 replicas, 40 paced terminals, %d warehouses x %d districts\n\n"
-    params.Workload.Tpcc.warehouses params.Workload.Tpcc.districts_per_warehouse;
-  Printf.printf "%-8s %9s %9s %8s %9s\n" "mode" "TPS" "resp(ms)" "abort%" "sync(ms)";
-  List.iter
-    (fun mode ->
-      let cluster =
-        Core.Cluster.create ~config ~mode ~schemas:Workload.Tpcc.schemas
-          ~load:(Workload.Tpcc.load params)
-          ()
-      in
-      Core.Client.spawn_many cluster ~n:40 ~first_sid:0
-        {
-          (Workload.Tpcc.workload params) with
-          Core.Client.think_ms = Core.Client.exp_think ~mean_ms:100.0;
-        };
-      Core.Cluster.run_for cluster ~warmup_ms:1_000.0 ~measure_ms:6_000.0;
-      let m = Core.Cluster.metrics cluster in
-      Printf.printf "%-8s %9.0f %9.2f %8.2f %9.2f\n%!"
-        (Core.Consistency.to_string mode)
-        (Core.Metrics.throughput_tps m) (Core.Metrics.mean_response_ms m)
-        (100.0 *. Core.Metrics.abort_rate m)
-        (Core.Metrics.sync_delay_ms m))
-    Core.Consistency.all;
-  print_newline ();
-  Printf.printf "Static SI analysis: %s\n"
-    (if Check.Si_analysis.serializable_under_si Workload.Tpcc.profiles then
-       "no dangerous structures — TPC-C runs serializably under GSI (as the paper notes)"
-     else "dangerous structures found")
+    Term.(const (print_seeded Experiments.Presets.ycsb) $ seed_arg)
 
 let tpcc_cmd =
   Cmd.v
     (Cmd.info "tpcc" ~doc:"Run the TPC-C extension workload across configurations")
-    Term.(const tpcc $ seed_arg)
-
-(* --- check: consistency validation of live runs --- *)
-
-let check seed =
-  let params = { Workload.Microbench.tables = 8; rows = 500; update_types = 4 } in
-  let config =
-    {
-      Core.Config.default with
-      Core.Config.seed;
-      replicas = 4;
-      record_log = true;
-      gc_interval_ms = 0.0;
-    }
-  in
-  Printf.printf "Running each configuration for 5s of virtual time with logging on...\n\n";
-  Printf.printf "%-8s %9s %8s %8s %8s %8s\n" "mode" "txns" "strong" "tableset" "session"
-    "wwconf";
-  List.iter
-    (fun mode ->
-      let cluster =
-        Core.Cluster.create ~config ~mode
-          ~schemas:(Workload.Microbench.schemas params)
-          ~load:(Workload.Microbench.load params)
-          ()
-      in
-      Core.Client.spawn_many cluster ~n:24 ~first_sid:0
-        (Workload.Microbench.workload params);
-      Core.Cluster.run_for cluster ~warmup_ms:300.0 ~measure_ms:5_000.0;
-      let log = Core.Cluster.records cluster in
-      Printf.printf "%-8s %9d %8d %8d %8d %8d\n"
-        (Core.Consistency.to_string mode)
-        (List.length log)
-        (List.length (Check.Runlog.strong_consistency log))
-        (List.length (Check.Runlog.fine_strong_consistency log))
-        (List.length (Check.Runlog.session_consistency log))
-        (List.length (Check.Runlog.first_committer_wins log)))
-    Core.Consistency.all;
-  Printf.printf
-    "\nExpected: eager/coarse have 0 everywhere; fine has 0 in tableset/wwconf;\n\
-     session has 0 in session/wwconf but may be non-zero in strong (it is weaker).\n"
+    Term.(const (print_seeded Experiments.Presets.tpcc) $ seed_arg)
 
 let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Validate the consistency guarantees of each configuration on live runs")
-    Term.(const check $ seed_arg)
+    Term.(const (print_seeded Experiments.Presets.check) $ seed_arg)
 
 (* --- chaos: seeded fault-schedule soak --- *)
 
@@ -483,7 +291,7 @@ let chaos_seed_count_arg =
 
 let chaos_duration_arg =
   let doc = "Virtual seconds per run (faults all heal by 75%% of it)." in
-  Arg.(value & opt float 2.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt (seconds ~positive:true) 2.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
 let chaos_plan_arg =
   let doc =
@@ -596,7 +404,7 @@ let overload rates_str mode_str protect seed clients duration warmup json_file j
          uses, so the sweep's plateau and the soak's recovery claim are
          about one configuration. *)
       let config =
-        let c = with_seed seed (Experiments.Chaos.default_config ~seed) in
+        let c = { (Experiments.Chaos.default_config ~seed) with Core.Config.seed } in
         if protect then
           {
             c with
@@ -654,11 +462,11 @@ let overload_clients_arg =
 
 let overload_duration_arg =
   let doc = "Measured virtual seconds per point." in
-  Arg.(value & opt float 2.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt (seconds ~positive:true) 2.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
 let overload_warmup_arg =
   let doc = "Warmup virtual seconds per point (excluded from the measurement)." in
-  Arg.(value & opt float 0.5 & info [ "warmup" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt (seconds ~positive:false) 0.5 & info [ "warmup" ] ~docv:"SECONDS" ~doc)
 
 let overload_json_arg =
   let doc = "Write the sweep points as JSON to $(docv)." in
@@ -720,8 +528,7 @@ let tiers_cmd =
 
 (* `--check` with no FILE picks the newest committed baseline: the
    highest-numbered BENCH_<n>.json in the working directory (the
-   in-tree convention — BENCH_6.json is the pre-optimization reference,
-   the highest number is the current gate). *)
+   in-tree convention: the highest number is the current gate). *)
 let newest_baseline () =
   let number name =
     if String.length name > 11
@@ -739,7 +546,6 @@ let newest_baseline () =
     None (Sys.readdir ".")
 
 let bench quick seed out check_file threshold jobs =
-  let quick = quick || Sys.getenv_opt "REPRO_BENCH_QUICK" = Some "1" in
   let check_file =
     match check_file with
     | Some "auto" -> (
@@ -814,15 +620,7 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Run the pinned-seed bench sweep (four consistency configurations), \
-          optionally writing or checking the committed JSON baseline"
-       ~man:
-         [
-           `S Manpage.s_environment;
-           `P
-             "REPRO_BENCH_QUICK=1 shrinks the measurement windows like $(b,--quick) \
-              (ignored under $(b,--check), which always follows the baseline's \
-              scale).";
-         ])
+          optionally writing or checking the committed JSON baseline")
     Term.(
       ret
         (const bench $ quick_arg $ seed_arg $ bench_out_arg $ bench_check_arg
@@ -835,27 +633,17 @@ let report quick seed window json_file =
   | Some w when not (w > 0.0) ->
     `Error (false, Printf.sprintf "--window must be positive, got %g" w)
   | _ ->
-  let warmup_ms, measure_ms = if quick then (500.0, 2_000.0) else (1_000.0, 5_000.0) in
-  let params = { Workload.Tpcw.default with Workload.Tpcw.think_mean_ms = 300.0 } in
-  let mix = Workload.Tpcw.Shopping in
-  let config = { (with_seed seed Core.Config.tpcw) with Core.Config.replicas = 4 } in
-  let cluster =
-    Core.Cluster.create ~config ~mode:Core.Consistency.Fine
-      ~schemas:Workload.Tpcw.schemas
-      ~load:(Workload.Tpcw.load params) ()
-  in
-  for sid = 0 to 39 do
-    Core.Client.spawn cluster ~sid ~rng:(Core.Cluster.rng cluster)
-      (Workload.Tpcw.workload params mix ~sid)
-  done;
+  let spec = Experiments.Presets.demo ~quick ~seed ~cert_batch:1 ~apply_parallelism:1 in
+  let cluster = Experiments.Runner.start spec in
   let ts = Core.Cluster.start_observatory ?window_ms:window cluster in
-  Core.Cluster.run_for cluster ~warmup_ms ~measure_ms;
+  Experiments.Runner.measure spec cluster;
   Core.Cluster.stop_observatory cluster ts;
   print_string
     (Experiments.Report.health
        ~title:
          (Printf.sprintf "run health: TPC-W %s mix, fine mode, seed %d, %.0fms windows"
-          (Workload.Tpcw.mix_name mix) seed (Obs.Timeseries.window_ms ts))
+          (Workload.Tpcw.mix_name Experiments.Presets.demo_mix)
+          seed (Obs.Timeseries.window_ms ts))
        ts);
   Format.printf "@.%a" Core.Metrics.pp_summary (Core.Cluster.metrics cluster);
   (* Consistency health as of the final window close. *)
@@ -912,39 +700,19 @@ let telemetry_arg =
 let trace_run trace_file telemetry quick seed cert_batch apply_parallelism =
   if trace_file = None && not telemetry then `Help (`Pager, None)
   else begin
-    let warmup_ms, measure_ms = if quick then (500.0, 2_000.0) else (1_000.0, 5_000.0) in
-    (* Shorter think time than the benchmark default so the demo trace is
-       dense enough to be interesting. *)
-    let params = { Workload.Tpcw.default with Workload.Tpcw.think_mean_ms = 300.0 } in
-    let mix = Workload.Tpcw.Shopping in
-    let config =
-      {
-        (with_seed seed Core.Config.tpcw) with
-        Core.Config.replicas = 4;
-        cert_batch;
-        apply_parallelism;
-      }
-    in
-    let cluster =
-      Core.Cluster.create ~config
-        ~tracing:(trace_file <> None)
-        ~mode:Core.Consistency.Fine ~schemas:Workload.Tpcw.schemas
-        ~load:(Workload.Tpcw.load params) ()
-    in
-    for sid = 0 to 39 do
-      Core.Client.spawn cluster ~sid ~rng:(Core.Cluster.rng cluster)
-        (Workload.Tpcw.workload params mix ~sid)
-    done;
+    let spec = Experiments.Presets.demo ~quick ~seed ~cert_batch ~apply_parallelism in
+    let cluster = Experiments.Runner.start ~tracing:(trace_file <> None) spec in
     let sampler =
       if telemetry then Some (Core.Cluster.start_telemetry cluster) else None
     in
-    Core.Cluster.run_for cluster ~warmup_ms ~measure_ms;
+    Experiments.Runner.measure spec cluster;
     Option.iter Obs.Sampler.stop sampler;
     let m = Core.Cluster.metrics cluster in
     Printf.printf
       "TPC-W %s mix, fine mode, 4 replicas, 40 clients, %.1fs measured: %.0f TPS, %.2f \
        ms mean response\n"
-      (Workload.Tpcw.mix_name mix) (measure_ms /. 1000.0)
+      (Workload.Tpcw.mix_name Experiments.Presets.demo_mix)
+      (spec.Experiments.Runner.measure_ms /. 1000.0)
       (Core.Metrics.throughput_tps m) (Core.Metrics.mean_response_ms m);
     (match sampler with
     | Some s ->
@@ -985,12 +753,7 @@ let trace_term =
 (* --- all --- *)
 
 let all quick seed =
-  print_string (Experiments.Table1.render ());
-  fig3 quick seed;
-  fig4 quick seed;
-  fig56 quick seed;
-  fig7 quick seed;
-  ablation "all" quick
+  List.iter (fun section -> print_string (section ())) (Experiments.Presets.all ~quick ~seed)
 
 let all_cmd =
   Cmd.v

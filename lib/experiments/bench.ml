@@ -31,30 +31,20 @@ let schema_version = 1
 let bench_params = { Workload.Microbench.tables = 20; rows = 2_000; update_types = 5 }
 
 let run_mode ~config ~params ~clients ~warmup_ms ~measure_ms mode =
+  let decisions cluster =
+    let c, a = Core.Certifier.decisions (Core.Cluster.certifier cluster) in
+    c + a
+  in
+  (* The certifier decision counter is monotonic since creation, so it
+     is read at the measurement start too. *)
+  let decisions0 = ref 0 in
   let cluster =
-    Core.Cluster.create ~config ~mode
-      ~schemas:(Workload.Microbench.schemas params)
-      ~load:(Workload.Microbench.load params)
-      ()
+    Runner.run
+      ~at_measure:(fun c -> decisions0 := decisions c)
+      (Runner.micro ~config ~mode ~params (warmup_ms, measure_ms)
+         (Runner.closed clients (Workload.Microbench.workload params)))
   in
-  Core.Client.spawn_many cluster ~n:clients ~first_sid:0
-    (Workload.Microbench.workload params);
-  let engine = Core.Cluster.engine cluster in
   let metrics = Core.Cluster.metrics cluster in
-  (* [run_for] in two halves so the certifier decision counter (which is
-     monotonic since creation) can be read at the measurement start. *)
-  let start = Sim.Engine.now engine in
-  Sim.Engine.run engine ~until:(start +. warmup_ms);
-  Core.Metrics.reset_window metrics;
-  let decisions0 =
-    let c, a = Core.Certifier.decisions (Core.Cluster.certifier cluster) in
-    c + a
-  in
-  Sim.Engine.run engine ~until:(start +. warmup_ms +. measure_ms);
-  let decisions1 =
-    let c, a = Core.Certifier.decisions (Core.Cluster.certifier cluster) in
-    c + a
-  in
   let point =
     {
       mode;
@@ -64,10 +54,10 @@ let run_mode ~config ~params ~clients ~warmup_ms ~measure_ms mode =
       p50_ms = Core.Metrics.percentile_response_ms metrics 50.0;
       p99_ms = Core.Metrics.percentile_response_ms metrics 99.0;
       cert_decisions_per_sec =
-        float_of_int (decisions1 - decisions0) /. (measure_ms /. 1000.0);
+        float_of_int (decisions cluster - !decisions0) /. (measure_ms /. 1000.0);
     }
   in
-  (point, Sim.Engine.executed engine)
+  (point, Sim.Engine.executed (Core.Cluster.engine cluster))
 
 let run ?(quick = false) ?(seed = Core.Config.default.Core.Config.seed) ?(jobs = 1) () =
   let warmup_ms, measure_ms = if quick then (200.0, 1_000.0) else (500.0, 3_000.0) in
@@ -288,26 +278,19 @@ let compare_runs ~baseline ~current ~threshold =
   List.rev !problems
 
 let render r =
-  let rows =
-    List.map
-      (fun p ->
-        [
-          Core.Consistency.to_string p.mode;
-          string_of_int p.committed;
-          string_of_int p.aborted;
-          Report.fmt_f p.tps;
-          Report.fmt_f p.p50_ms;
-          Report.fmt_f p.p99_ms;
-          Report.fmt_f p.cert_decisions_per_sec;
-        ])
-      r.points
-  in
-  Report.section
-    (Printf.sprintf "bench sweep (seed %d, %d replicas, %d clients, %.0f+%.0fms)"
-       r.seed r.replicas r.clients r.warmup_ms r.measure_ms)
-  ^ "\n"
-  ^ Report.table
-      ~header:[ "mode"; "committed"; "aborted"; "tps"; "p50"; "p99"; "cert/s" ]
-      rows
+  Runner.render
+    ~title:
+      (Printf.sprintf "bench sweep (seed %d, %d replicas, %d clients, %.0f+%.0fms)" r.seed
+         r.replicas r.clients r.warmup_ms r.measure_ms)
+    [
+      ("mode", fun p -> Core.Consistency.to_string p.mode);
+      ("committed", fun p -> string_of_int p.committed);
+      ("aborted", fun p -> string_of_int p.aborted);
+      ("tps", fun p -> Report.fmt_f p.tps);
+      ("p50", fun p -> Report.fmt_f p.p50_ms);
+      ("p99", fun p -> Report.fmt_f p.p99_ms);
+      ("cert/s", fun p -> Report.fmt_f p.cert_decisions_per_sec);
+    ]
+    r.points
   ^ Printf.sprintf "wall: %d sim events in %.2fs (%.0f events/s)\n" r.sim_events
       r.wall_s r.sim_events_per_sec

@@ -115,26 +115,25 @@ let run ?(versions = 10_000) ?(ws_rows = 4) ?(stalenesses = default_stalenesses)
     stalenesses
 
 let render points =
-  let header = [ "staleness"; "linear ns"; "keyed ns"; "speedup" ] in
-  let rows =
-    List.map
-      (fun p ->
-        [
-          string_of_int p.staleness;
-          Printf.sprintf "%.0f" p.linear_ns;
-          Printf.sprintf "%.0f" p.keyed_ns;
-          Printf.sprintf "%.1fx" (speedup p);
-        ])
-      points
-  in
-  let series =
+  let ns get p = Printf.sprintf "%.0f" (get p) in
+  Runner.render
+    ~title:
+      "Certification index: conflict-check host cost vs snapshot staleness (4-row \
+       writesets, 10k-version log)"
+    ~chart:
+      {
+        Runner.y_label = "ns per check";
+        x_label = "versions behind";
+        series =
+          [
+            ("linear", fun p -> Some (float_of_int p.staleness, p.linear_ns));
+            ("keyed", fun p -> Some (float_of_int p.staleness, p.keyed_ns));
+          ];
+      }
     [
-      ("linear", List.map (fun p -> (float_of_int p.staleness, p.linear_ns)) points);
-      ("keyed", List.map (fun p -> (float_of_int p.staleness, p.keyed_ns)) points);
+      ("staleness", fun p -> string_of_int p.staleness);
+      ("linear ns", ns (fun p -> p.linear_ns));
+      ("keyed ns", ns (fun p -> p.keyed_ns));
+      ("speedup", fun p -> Printf.sprintf "%.1fx" (speedup p));
     ]
-  in
-  Report.section
-    "Certification index: conflict-check host cost vs snapshot staleness (4-row \
-     writesets, 10k-version log)"
-  ^ "\n" ^ Report.table ~header rows ^ "\n"
-  ^ Plot.chart ~series ~y_label:"ns per check" ~x_label:"versions behind" ()
+    points

@@ -22,14 +22,10 @@ type point = {
 let run_point ?(config = Core.Config.default) ?(params = Workload.Microbench.default)
     ?(clients = 16) ~mode ~offered_tps ~warmup_ms ~measure_ms () =
   let cluster =
-    Core.Cluster.create ~config ~mode
-      ~schemas:(Workload.Microbench.schemas params)
-      ~load:(Workload.Microbench.load params)
-      ()
+    Runner.run
+      (Runner.micro ~config ~mode ~params (warmup_ms, measure_ms)
+         (Runner.Open (clients, offered_tps, Workload.Microbench.workload params)))
   in
-  Core.Client.open_loop_many cluster ~n:clients ~first_sid:0 ~rate_tps:offered_tps
-    (Workload.Microbench.workload params);
-  Core.Cluster.run_for cluster ~warmup_ms ~measure_ms;
   let m = Core.Cluster.metrics cluster in
   {
     offered_tps;

@@ -31,111 +31,113 @@ let map_jobs ?(jobs = 1) f items =
       (Array.map (function Some x -> x | None -> assert false) out)
   end
 
-type summary = {
+type clients =
+  | Closed of int * (int -> Core.Client.workload)
+  | Open of int * float * Core.Client.workload
+
+type spec = {
+  config : Core.Config.t;
   mode : Core.Consistency.mode;
-  replicas : int;
-  clients : int;
+  schemas : Storage.Schema.t list;
+  load : Storage.Database.t -> unit;
+  clients : clients;
+  warmup_ms : float;
+  measure_ms : float;
+}
+
+let closed n workload = Closed (n, fun _ -> workload)
+
+let micro ~config ~mode ~params (warmup_ms, measure_ms) clients =
+  {
+    config;
+    mode;
+    schemas = Workload.Microbench.schemas params;
+    load = Workload.Microbench.load params;
+    clients;
+    warmup_ms;
+    measure_ms;
+  }
+
+let start ?tracing s =
+  let cluster =
+    Core.Cluster.create ~config:s.config ?tracing ~mode:s.mode ~schemas:s.schemas
+      ~load:s.load ()
+  in
+  (match s.clients with
+  | Closed (n, workload) ->
+    for sid = 0 to n - 1 do
+      Core.Client.spawn cluster ~sid ~rng:(Core.Cluster.rng cluster) (workload sid)
+    done
+  | Open (n, rate_tps, workload) ->
+    Core.Client.open_loop_many cluster ~n ~first_sid:0 ~rate_tps workload);
+  cluster
+
+(* The warm-up is run here rather than by [Cluster.run_for] so a caller
+   can read monotonic counters at the window boundary. Running the
+   engine to [now + warmup] and then [run_for ~warmup_ms:0] executes the
+   same events as [run_for ~warmup_ms]: the engine leaves its clock at
+   the horizon with every event up to it drained. *)
+let measure ?(at_measure = ignore) s cluster =
+  let engine = Core.Cluster.engine cluster in
+  Sim.Engine.run engine ~until:(Sim.Engine.now engine +. s.warmup_ms);
+  at_measure cluster;
+  Core.Cluster.run_for cluster ~warmup_ms:0.0 ~measure_ms:s.measure_ms
+
+let run ?tracing ?at_measure s =
+  let cluster = start ?tracing s in
+  measure ?at_measure s cluster;
+  cluster
+
+type summary = {
   tps : float;
   response_ms : float;
+  p99_ms : float;
   stage_ms : float array;
   stage_update_ms : float array;
   sync_delay_ms : float;
   abort_rate : float;
-  committed : int;
 }
 
-let stage_of_metrics metrics ~summary_of:cluster =
-  let stage_ms =
-    Array.of_list
-      (List.map (fun s -> Core.Metrics.mean_stage_ms metrics s) Core.Metrics.stages)
-  in
-  let stage_update_ms =
-    Array.of_list
-      (List.map (fun s -> Core.Metrics.mean_stage_update_ms metrics s) Core.Metrics.stages)
-  in
+let summarize cluster =
+  let m = Core.Cluster.metrics cluster in
+  let per_stage f = Array.of_list (List.map (f m) Core.Metrics.stages) in
+  (* The mean first: a percentile sorts the samples in place, which
+     reorders the mean's float sum. *)
+  let response_ms = Core.Metrics.mean_response_ms m in
   {
-    mode = Core.Cluster.mode cluster;
-    replicas = (Core.Cluster.config cluster).Core.Config.replicas;
-    clients = 0;
-    tps = Core.Metrics.throughput_tps metrics;
-    response_ms = Core.Metrics.mean_response_ms metrics;
-    stage_ms;
-    stage_update_ms;
-    sync_delay_ms = Core.Metrics.sync_delay_ms metrics;
-    abort_rate = Core.Metrics.abort_rate metrics;
-    committed = Core.Metrics.committed metrics;
+    tps = Core.Metrics.throughput_tps m;
+    response_ms;
+    p99_ms = Core.Metrics.percentile_response_ms m 99.0;
+    stage_ms = per_stage Core.Metrics.mean_stage_ms;
+    stage_update_ms = per_stage Core.Metrics.mean_stage_update_ms;
+    sync_delay_ms = Core.Metrics.sync_delay_ms m;
+    abort_rate = Core.Metrics.abort_rate m;
   }
 
-let run_micro ?(config = Core.Config.default) ~mode ~params ~clients ~warmup_ms ~measure_ms
-    () =
-  let cluster =
-    Core.Cluster.create ~config ~mode
-      ~schemas:(Workload.Microbench.schemas params)
-      ~load:(Workload.Microbench.load params)
-      ()
-  in
-  Core.Client.spawn_many cluster ~n:clients ~first_sid:0
-    (Workload.Microbench.workload params);
-  Core.Cluster.run_for cluster ~warmup_ms ~measure_ms;
-  { (stage_of_metrics (Core.Cluster.metrics cluster) ~summary_of:cluster) with clients }
+let stage s st = s.stage_ms.(Core.Metrics.stage_index st)
 
-type aggregate = {
-  runs : int;
-  mean : summary;
-  tps_stddev : float;
-  response_stddev_ms : float;
-  tps_rel_dev : float;
+let sweep ?jobs spec_of keys =
+  map_jobs ?jobs (fun k -> (k, summarize (run (spec_of k)))) keys
+
+(* --- rendering ------------------------------------------------------- *)
+
+type 'p column = string * ('p -> string)
+
+type 'p chart = {
+  y_label : string;
+  x_label : string;
+  series : (string * ('p -> (float * float) option)) list;
 }
 
-let replicate ~runs ~base_seed f =
-  assert (runs >= 1);
-  let summaries = List.init runs (fun i -> f ~seed:(base_seed + i)) in
-  let n = float_of_int runs in
-  let mean_of get = List.fold_left (fun acc s -> acc +. get s) 0.0 summaries /. n in
-  let stddev_of get =
-    if runs < 2 then 0.0
-    else begin
-      let m = mean_of get in
-      sqrt
-        (List.fold_left (fun acc s -> acc +. ((get s -. m) ** 2.0)) 0.0 summaries
-        /. float_of_int (runs - 1))
-    end
-  in
-  let first = List.hd summaries in
-  let mean_stage i = mean_of (fun s -> s.stage_ms.(i)) in
-  let mean_stage_u i = mean_of (fun s -> s.stage_update_ms.(i)) in
-  let mean =
-    {
-      first with
-      tps = mean_of (fun s -> s.tps);
-      response_ms = mean_of (fun s -> s.response_ms);
-      stage_ms = Array.init Core.Metrics.stage_count mean_stage;
-      stage_update_ms = Array.init Core.Metrics.stage_count mean_stage_u;
-      sync_delay_ms = mean_of (fun s -> s.sync_delay_ms);
-      abort_rate = mean_of (fun s -> s.abort_rate);
-      committed =
-        int_of_float (mean_of (fun s -> float_of_int s.committed));
-    }
-  in
-  let tps_stddev = stddev_of (fun s -> s.tps) in
-  {
-    runs;
-    mean;
-    tps_stddev;
-    response_stddev_ms = stddev_of (fun s -> s.response_ms);
-    tps_rel_dev = (if mean.tps > 0.0 then tps_stddev /. mean.tps else 0.0);
-  }
+let render ~title ?chart columns rows =
+  let header = List.map fst columns in
+  let body = List.map (fun r -> List.map (fun (_, cell) -> cell r) columns) rows in
+  Report.section title ^ "\n" ^ Report.table ~header body
+  ^
+  match chart with
+  | None -> ""
+  | Some c ->
+    let series = List.map (fun (name, point) -> (name, List.filter_map point rows)) c.series in
+    "\n" ^ Plot.chart ~series ~y_label:c.y_label ~x_label:c.x_label ()
 
-let run_tpcw ?(config = Core.Config.tpcw) ~mode ~params ~mix ~clients ~warmup_ms
-    ~measure_ms () =
-  let cluster =
-    Core.Cluster.create ~config ~mode ~schemas:Workload.Tpcw.schemas
-      ~load:(Workload.Tpcw.load params)
-      ()
-  in
-  for sid = 0 to clients - 1 do
-    Core.Client.spawn cluster ~sid ~rng:(Core.Cluster.rng cluster)
-      (Workload.Tpcw.workload params mix ~sid)
-  done;
-  Core.Cluster.run_for cluster ~warmup_ms ~measure_ms;
-  { (stage_of_metrics (Core.Cluster.metrics cluster) ~summary_of:cluster) with clients }
+let cell f = function Some x -> Report.fmt_f (f x) | None -> "-"

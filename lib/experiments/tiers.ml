@@ -47,14 +47,11 @@ let ordered_rows metrics =
 let run_point ~config ~params ~clients ~warmup_ms ~measure_ms ~bound =
   let tier = Core.Consistency.Bounded_staleness { versions = Some bound; ms = None } in
   let cluster =
-    Core.Cluster.create ~config ~mode:Core.Consistency.Coarse
-      ~schemas:(Workload.Microbench.schemas params)
-      ~load:(Workload.Microbench.load params)
-      ()
+    Runner.run
+      (Runner.micro ~config ~mode:Core.Consistency.Coarse ~params (warmup_ms, measure_ms)
+         (Runner.closed clients
+            (Workload.Microbench.tiered_workload ~bounded_tier:tier params)))
   in
-  Core.Client.spawn_many cluster ~n:clients ~first_sid:0
-    (Workload.Microbench.tiered_workload ~bounded_tier:tier params);
-  Core.Cluster.run_for cluster ~warmup_ms ~measure_ms;
   let metrics = Core.Cluster.metrics cluster in
   let rows =
     List.filter_map
@@ -147,46 +144,35 @@ let ok points =
      price like strong reads. *)
   && List.exists (fun p -> p.bound >= 8 && p.ordered) points
 
-let row_of p slug = List.find_opt (fun r -> r.slug = slug) p.rows
-
 let render points =
-  let header =
-    "max_lag k"
-    :: List.concat_map
-         (fun slug -> [ slug ^ " ms"; slug ^ " p99" ])
-         Core.Consistency.all_tier_slugs
-    @ [ "bounded lag"; "eventual lag"; "TPS"; "ordered"; "viol" ]
-  in
-  let cell p slug f = match row_of p slug with Some r -> Report.fmt_f (f r) | None -> "-" in
-  let rows =
-    List.map
-      (fun p ->
-        (string_of_int p.bound
-         :: List.concat_map
-              (fun slug ->
-                [ cell p slug (fun r -> r.mean_ms); cell p slug (fun r -> r.p99_ms) ])
-              Core.Consistency.all_tier_slugs)
-        @ [
-            cell p "bounded" (fun r -> r.mean_staleness);
-            cell p "eventual" (fun r -> r.mean_staleness);
-            Report.fmt_f p.tps;
-            (if p.ordered then "yes" else "no");
-            string_of_int (total_violations p);
-          ])
-      points
-  in
-  let series =
-    List.map
-      (fun slug ->
-        ( slug,
-          List.filter_map
-            (fun p ->
-              Option.map (fun r -> (float_of_int p.bound, r.mean_ms)) (row_of p slug))
-            points ))
-      Core.Consistency.all_tier_slugs
-  in
-  Report.section
-    "Read-tier frontier: read latency and served staleness vs declared max_lag"
-  ^ "\n" ^ Report.table ~header rows ^ "\n"
-  ^ Plot.chart ~series ~y_label:"read ms" ~x_label:"bounded-staleness max_lag (versions)"
-      ()
+  let row p slug = List.find_opt (fun r -> r.slug = slug) p.rows in
+  let slugs = Core.Consistency.all_tier_slugs in
+  Runner.render
+    ~title:"Read-tier frontier: read latency and served staleness vs declared max_lag"
+    ~chart:
+      {
+        Runner.y_label = "read ms";
+        x_label = "bounded-staleness max_lag (versions)";
+        series =
+          List.map
+            (fun slug ->
+              ( slug,
+                fun p -> Option.map (fun r -> (float_of_int p.bound, r.mean_ms)) (row p slug) ))
+            slugs;
+      }
+    ((("max_lag k", fun p -> string_of_int p.bound)
+     :: List.concat_map
+          (fun slug ->
+            [
+              (slug ^ " ms", fun p -> Runner.cell (fun r -> r.mean_ms) (row p slug));
+              (slug ^ " p99", fun p -> Runner.cell (fun r -> r.p99_ms) (row p slug));
+            ])
+          slugs)
+    @ [
+        ("bounded lag", fun p -> Runner.cell (fun r -> r.mean_staleness) (row p "bounded"));
+        ("eventual lag", fun p -> Runner.cell (fun r -> r.mean_staleness) (row p "eventual"));
+        ("TPS", fun p -> Report.fmt_f p.tps);
+        ("ordered", fun p -> if p.ordered then "yes" else "no");
+        ("viol", fun p -> string_of_int (total_violations p));
+      ])
+    points

@@ -1,5 +1,5 @@
-(* Tests for the experiments library: Table I exactness, report and plot
-   rendering, and a smoke run of the shared experiment driver. *)
+(* Tests for the experiments library: Table I exactness, report, plot and
+   figure rendering, and a smoke run of the shared experiment driver. *)
 
 let test_table1_exact () =
   (* The paper's Table I, row by row. *)
@@ -71,60 +71,146 @@ let test_runner_smoke () =
   (* A miniature end-to-end experiment through the shared driver. *)
   let params = { Workload.Microbench.tables = 4; rows = 200; update_types = 1 } in
   let config =
-    { Core.Config.default with replicas = 2; seed = 1; gc_interval_ms = 0.0 }
+    {
+      Core.Config.default with
+      replicas = 2;
+      seed = 1;
+      gc_interval_ms = 0.0;
+      record_log = true;
+    }
   in
-  let s =
-    Experiments.Runner.run_micro ~config ~mode:Core.Consistency.Coarse ~params ~clients:8
-      ~warmup_ms:200.0 ~measure_ms:1_000.0 ()
+  let cluster =
+    Experiments.Runner.run
+      (Experiments.Runner.micro ~config ~mode:Core.Consistency.Coarse ~params
+         (200.0, 1_000.0)
+         (Experiments.Runner.closed 8 (Workload.Microbench.workload params)))
   in
+  let s = Experiments.Runner.summarize cluster in
   Alcotest.(check bool) "throughput positive" true (s.Experiments.Runner.tps > 100.0);
   Alcotest.(check bool) "response positive" true (s.Experiments.Runner.response_ms > 0.0);
-  Alcotest.(check int) "clients recorded" 8 s.Experiments.Runner.clients;
-  Alcotest.(check int) "replicas recorded" 2 s.Experiments.Runner.replicas
-
-let test_ablation_rows_shape () =
-  let rows =
-    [
-      { Experiments.Ablation.label = "x"; cells = [ ("TPS", 1.0); ("ms", 2.0) ] };
-      { Experiments.Ablation.label = "y"; cells = [ ("TPS", 3.0); ("ms", 4.0) ] };
-    ]
+  let sessions =
+    List.sort_uniq compare
+      (List.map (fun r -> r.Check.Runlog.session) (Core.Cluster.records cluster))
   in
-  let s = Experiments.Ablation.render ~title:"t" rows in
-  let contains needle =
-    let nl = String.length needle and sl = String.length s in
-    let rec probe i = i + nl <= sl && (String.sub s i nl = needle || probe (i + 1)) in
-    probe 0
-  in
-  Alcotest.(check bool) "contains labels" true
-    (List.for_all contains [ "x"; "y"; "TPS" ])
+  Alcotest.(check int) "every client committed" 8 (List.length sessions);
+  Alcotest.(check int) "replicas configured" 2
+    (Core.Cluster.config cluster).Core.Config.replicas
 
-let test_replicate_aggregates () =
-  (* Aggregate across seeds; the paper's methodology (10 runs, <5%
-     deviation). Use 3 short runs for test time. *)
-  let params = { Workload.Microbench.tables = 4; rows = 500; update_types = 1 } in
-  let agg =
-    Experiments.Runner.replicate ~runs:3 ~base_seed:100 (fun ~seed ->
-        let config =
-          {
-            Core.Config.default with
-            replicas = 2;
-            seed;
-            gc_interval_ms = 0.0;
-            (* Transient slowdowns dominate variance in short windows;
-               the methodology check uses a quiet cluster. *)
-            hiccup_interval_ms = 0.0;
-          }
+(* --- Figure rendering, without simulating ----------------------------
+
+   Fixed synthetic summaries through each preset's renderer, compared
+   with golden text: the tables and charts the figure commands print
+   are pinned byte for byte. *)
+
+let synth i =
+  let f = float_of_int i in
+  {
+    Experiments.Runner.tps = 1000.0 +. (137.5 *. f);
+    response_ms = 3.0 +. (0.37 *. f);
+    p99_ms = (3.0 +. (0.37 *. f)) *. 3.1;
+    stage_ms = Array.init 6 (fun j -> 0.1 *. float_of_int (i + j));
+    stage_update_ms = Array.init 6 (fun j -> (0.2 *. float_of_int (i + (2 * j))) +. 0.05);
+    sync_delay_ms = 0.5 +. (0.11 *. f);
+    abort_rate = 0.01 *. float_of_int (i mod 7);
+  }
+
+(* Keys in sweep order, each paired with the next synthetic summary. *)
+let synthetic keys = List.mapi (fun i k -> (k, synth (i + 1))) keys
+
+let grid xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
+
+let golden name =
+  In_channel.with_open_bin (Filename.concat "golden" ("render_" ^ name ^ ".expected"))
+    In_channel.input_all
+
+let check_golden name rendered = Alcotest.(check string) name (golden name) rendered
+
+let modes = Core.Consistency.all
+
+let test_render_fig3 () =
+  check_golden "fig3"
+    (Experiments.Presets.render_fig3 (synthetic (grid [ 0; 10; 20; 40 ] modes)))
+
+let test_render_fig4 () =
+  check_golden "fig4" (Experiments.Presets.render_fig4 (synthetic (grid [ 25; 100 ] modes)))
+
+let test_render_tpcw () =
+  let tpcw mixes = synthetic (grid mixes (grid [ 1; 4 ] modes)) in
+  check_golden "fig5"
+    (Experiments.Presets.render_fig56
+       (tpcw Workload.Tpcw.[ Browsing; Shopping; Ordering ]));
+  check_golden "fig7"
+    (Experiments.Presets.render_fig7 (tpcw Workload.Tpcw.[ Shopping; Ordering ]))
+
+let test_render_batch () =
+  check_golden "batch"
+    (Experiments.Presets.render_batch
+       (synthetic
+          (grid [ 0; 10; 20 ]
+             (grid Core.Consistency.[ Coarse; Fine; Session; Eager ] [ false; true ]))))
+
+let test_ablation_render () =
+  let counter = ref 0 in
+  let rows labels =
+    List.map
+      (fun l ->
+        incr counter;
+        (l, synth !counter))
+      labels
+  in
+  let table which labels = Experiments.Presets.render_ablation which (rows labels) in
+  (* Bound in order: the synthetic counter runs left to right. *)
+  let apply =
+    table Experiments.Presets.Apply [ "writeset shipping (paper)"; "re-execute at replicas" ]
+  in
+  let span =
+    table Experiments.Presets.Span
+      (List.map
+         (fun (span, mode) -> Printf.sprintf "span=%d %s" span (Core.Consistency.to_string mode))
+         (grid [ 1; 2; 4; 8; 16 ] Core.Consistency.[ Fine; Coarse ]))
+  in
+  let early =
+    table Experiments.Presets.Early_cert [ "early certification on"; "early certification off" ]
+  in
+  let routing =
+    table Experiments.Presets.Routing
+      [ "least-active (paper)"; "round-robin"; "random"; "session-affinity" ]
+  in
+  let s = apply ^ span ^ early ^ routing in
+  check_golden "ablation" s
+
+let test_render_tiers () =
+  let points =
+    List.mapi
+      (fun i bound ->
+        let rows =
+          List.filter_map
+            (fun (j, slug) ->
+              if i = 0 && slug = "causal" then None
+              else
+                let f = float_of_int ((10 * i) + j) in
+                Some
+                  {
+                    Experiments.Tiers.slug;
+                    committed = 100 + (10 * i) + j;
+                    mean_ms = 1.5 +. (0.73 *. f);
+                    p99_ms = 9.0 +. (4.1 *. f);
+                    mean_staleness = 0.25 *. f;
+                    max_staleness = f;
+                  })
+            (List.mapi (fun j s -> (j, s)) Core.Consistency.all_tier_slugs)
         in
-        Experiments.Runner.run_micro ~config ~mode:Core.Consistency.Coarse ~params
-          ~clients:8 ~warmup_ms:300.0 ~measure_ms:2_000.0 ())
+        {
+          Experiments.Tiers.bound;
+          tps = 2000.0 +. (321.0 *. float_of_int i);
+          rows;
+          violations = [ ("strong_consistency", i mod 2); ("tier_causal_ryw", 0) ];
+          ordered = i = 2;
+          digest = "d";
+        })
+      [ 0; 8; 32 ]
   in
-  Alcotest.(check int) "runs" 3 agg.Experiments.Runner.runs;
-  Alcotest.(check bool) "mean tps positive" true (agg.Experiments.Runner.mean.tps > 100.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "deviation below 5%% (got %.2f%%)"
-       (100.0 *. agg.Experiments.Runner.tps_rel_dev))
-    true
-    (agg.Experiments.Runner.tps_rel_dev < 0.05)
+  check_golden "tiers" (Experiments.Tiers.render points)
 
 let contains_substring haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -343,8 +429,12 @@ let suites =
         Alcotest.test_case "plot renders" `Quick test_plot_renders;
         Alcotest.test_case "plot empty" `Quick test_plot_empty;
         Alcotest.test_case "runner smoke" `Quick test_runner_smoke;
-        Alcotest.test_case "replicate aggregates" `Quick test_replicate_aggregates;
-        Alcotest.test_case "ablation render" `Quick test_ablation_rows_shape;
+        Alcotest.test_case "ablation render" `Quick test_ablation_render;
+        Alcotest.test_case "fig3 render" `Quick test_render_fig3;
+        Alcotest.test_case "fig4 render" `Quick test_render_fig4;
+        Alcotest.test_case "fig5-7 render" `Quick test_render_tpcw;
+        Alcotest.test_case "batch render" `Quick test_render_batch;
+        Alcotest.test_case "tiers render" `Quick test_render_tiers;
         Alcotest.test_case "sparkline" `Quick test_sparkline;
         Alcotest.test_case "map_jobs order across pool sizes" `Quick
           test_map_jobs_order_and_results;

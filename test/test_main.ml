@@ -5,5 +5,4 @@ let () =
    @ Test_workload.suites
    @ Test_consistency.suites @ Test_tiers.suites @ Test_faults.suites @ Test_certha.suites @ Test_controlplane.suites
    @ Test_overload.suites
-   @ Test_experiments.suites
-   @ Test_sql.suites)
+   @ Test_experiments.suites)
