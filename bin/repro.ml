@@ -278,8 +278,23 @@ let chaos seeds seed_count duration plan_str modes_str tiers cert_standbys ack_q
       in
       Printf.printf "\n%d/%d runs ok\n" (List.length results - List.length failed)
         (List.length results);
-      if failed = [] && digest_ok then `Ok ()
-      else `Error (false, "chaos soak found violations")))
+      List.iter
+        (fun r ->
+          Printf.printf "FAILED %s %s seed=%d: %s\n"
+            (Core.Consistency.to_string r.Experiments.Chaos.mode)
+            (Experiments.Chaos.plan_name r.plan)
+            r.seed
+            (String.concat "; " (Experiments.Chaos.failures r)))
+        failed;
+      let causes =
+        List.fold_left
+          (fun acc cause -> if List.mem cause acc then acc else acc @ [ cause ])
+          []
+          (List.concat_map Experiments.Chaos.failures failed
+          @ if digest_ok then [] else [ "digest DIVERGED" ])
+      in
+      if causes = [] then `Ok ()
+      else `Error (false, "chaos soak failed: " ^ String.concat "; " causes)))
 
 let chaos_seeds_arg =
   let doc = "Explicit seed list (repeatable); overrides $(b,--seeds)." in

@@ -182,23 +182,37 @@ type result = {
           a refused transaction may never commit *)
 }
 
-let ok r =
-  (not r.wedged)
-  && r.duplicate_commit_versions = 0
-  && r.divergent_log_entries = 0
-  && List.for_all (fun (_, n) -> n = 0) r.violations
-  (* The cert-failover plan exists to exercise automatic promotion: a
-     run where no standby ever took over proves nothing. *)
-  && (r.plan <> CertFailover || r.promotions >= 1)
-  (* Likewise, a control-plane run must see both halves actually fail
-     over: at least one safe election-backed promotion AND at least one
-     standby-LB takeover. *)
-  && (r.plan <> ControlPlane || (r.promotions >= 1 && r.lb_takeovers >= 1))
-  (* A shed transaction may never also commit, whatever the plan. *)
-  && r.zombie_commits = 0
-  (* An overload run where nothing was ever refused proves nothing: the
-     open-loop load is sized beyond capacity, so protection must bite. *)
-  && (r.plan <> Overload || r.shed > 0)
+let failures r =
+  List.concat
+    [
+      (if r.wedged then [ "wedged" ] else []);
+      List.filter_map
+        (fun (name, n) -> if n > 0 then Some (Printf.sprintf "%s violated (%d)" name n) else None)
+        r.violations;
+      (if r.duplicate_commit_versions > 0 then
+         [ Printf.sprintf "duplicate commit versions (%d)" r.duplicate_commit_versions ]
+       else []);
+      (if r.divergent_log_entries > 0 then
+         [ Printf.sprintf "divergent certifier log (%d entries)" r.divergent_log_entries ]
+       else []);
+      (* A shed transaction may never also commit, whatever the plan. *)
+      (if r.zombie_commits > 0 then [ Printf.sprintf "zombie commits (%d)" r.zombie_commits ]
+       else []);
+      (* The cert-failover and control-plane plans exist to exercise
+         automatic promotion: a run where no standby ever took over
+         proves nothing. A control-plane run must also see the standby
+         LB take over routing. *)
+      (if (r.plan = CertFailover || r.plan = ControlPlane) && r.promotions < 1 then
+         [ "no promotion under " ^ plan_name r.plan ]
+       else []);
+      (if r.plan = ControlPlane && r.lb_takeovers < 1 then [ "no LB takeover" ] else []);
+      (* An overload run where nothing was ever refused proves nothing:
+         the open-loop load is sized beyond capacity, so protection must
+         bite. *)
+      (if r.plan = Overload && r.shed = 0 then [ "nothing shed under overload" ] else []);
+    ]
+
+let ok r = failures r = []
 
 (* The per-mode checker battery: first-committer-wins (no lost or
    double-committed writes under GSI) and epoch fencing (commit versions

@@ -111,12 +111,18 @@ type result = {
       (** committed records whose tid was also shed (must be 0) *)
 }
 
+val failures : result -> string list
+(** The requirements the run failed, one short phrase each ("wedged",
+    "first_committer_wins violated (2)", "no promotion under
+    cert-failover", "no LB takeover", ...): no checker violations, no
+    duplicate commit versions, no divergent certifier log entries, no
+    zombie commits, not wedged — and, under {!CertFailover}, at least
+    one automatic promotion; under {!ControlPlane}, at least one
+    automatic promotion and one LB takeover; under {!Overload}, at
+    least one shed. Empty for a passing run. *)
+
 val ok : result -> bool
-(** No checker violations, no duplicate commit versions, no divergent
-    certifier log entries, no zombie commits, not wedged — and, under
-    {!CertFailover}, at least one automatic promotion; under
-    {!ControlPlane}, at least one automatic promotion and one LB
-    takeover; under {!Overload}, at least one shed. *)
+(** [failures r = []]. *)
 
 val default_config : seed:int -> Core.Config.t
 (** The config a soak runs under when none is given: a hardened

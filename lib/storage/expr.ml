@@ -42,23 +42,7 @@ let rec eval row expr =
   | Col idx ->
     if idx < 0 || idx >= Array.length row then type_error "column %d out of range" idx
     else row.(idx)
-  | Cmp (op, a, b) -> begin
-    let va = eval row a and vb = eval row b in
-    match (va, vb) with
-    | Value.Null, _ | _, Value.Null -> Value.Bool false
-    | _ ->
-      let c = Value.compare va vb in
-      let r =
-        match op with
-        | Eq -> c = 0
-        | Ne -> c <> 0
-        | Lt -> c < 0
-        | Le -> c <= 0
-        | Gt -> c > 0
-        | Ge -> c >= 0
-      in
-      Value.Bool r
-  end
+  | Cmp (op, a, b) -> Value.Bool (holds row op a b)
   | And (a, b) -> Value.Bool (eval_bool row a && eval_bool row b)
   | Or (a, b) -> Value.Bool (eval_bool row a || eval_bool row b)
   | Not a -> Value.Bool (not (eval_bool row a))
@@ -89,11 +73,33 @@ and arith row name int_op float_op a b =
   | va, vb ->
     type_error "arithmetic %s on %s and %s" name (Value.to_string va) (Value.to_string vb)
 
+and holds row op a b =
+  let va = eval row a and vb = eval row b in
+  match (va, vb) with
+  | Value.Null, _ | _, Value.Null -> false
+  | _ -> (
+    let c = Value.compare va vb in
+    match op with
+    | Eq -> c = 0
+    | Ne -> c <> 0
+    | Lt -> c < 0
+    | Le -> c <= 0
+    | Gt -> c > 0
+    | Ge -> c >= 0)
+
+(* Connectives and comparisons decide here without boxing a
+   [Value.Bool] per row; [eval] is the definition. *)
 and eval_bool row expr =
-  match eval row expr with
-  | Value.Bool b -> b
-  | Value.Null -> false
-  | v -> type_error "expected boolean, got %s" (Value.to_string v)
+  match expr with
+  | Cmp (op, a, b) -> holds row op a b
+  | And (a, b) -> eval_bool row a && eval_bool row b
+  | Or (a, b) -> eval_bool row a || eval_bool row b
+  | Not a -> not (eval_bool row a)
+  | Const _ | Col _ | Add _ | Sub _ | Mul _ | Concat _ | Is_null _ | Like _ -> (
+    match eval row expr with
+    | Value.Bool b -> b
+    | Value.Null -> false
+    | v -> type_error "expected boolean, got %s" (Value.to_string v))
 
 let columns expr =
   let acc = ref [] in

@@ -17,11 +17,24 @@ end
 
 type t
 
+type chain
+(** One key's version chain. It lives as long as the table: keys are
+    never removed (a delete installs a tombstone, and {!gc} keeps each
+    key's newest version), so a chain handle stays valid and sees every
+    later install and [gc] of its key. *)
+
 val create : unit -> t
 
 val install : t -> key -> version:int -> Value.t array option -> unit
 (** Prepend a version ([None] = delete). Raises [Invalid_argument] if
     [version] is not greater than the key's newest version. *)
+
+val install_chain : t -> key -> version:int -> Value.t array option -> chain
+(** {!install}, returning the key's chain, so an index can keep it and
+    read the key without probing the table again. *)
+
+val visible : chain -> at:int -> Value.t array option
+(** The chain's visible row at snapshot [at], as {!read}. *)
 
 val read : t -> key -> at:int -> Value.t array option
 (** Visible row at snapshot [at], or [None] if absent/deleted. *)
@@ -37,7 +50,10 @@ val version_count : t -> int
 (** Total stored versions across all keys. *)
 
 val iter_keys_ordered : t -> (key -> unit) -> unit
-(** All keys in ascending key order (visibility not checked). *)
+(** All keys in ascending key order (visibility not checked). The
+    sorted key directory is kept incrementally: the first ordered access
+    sorts the table once, and later ones sort and merge in only the keys
+    created since the previous one. *)
 
 val iter_keys_range : t -> ?lo:key -> ?hi:key -> (key -> unit) -> unit
 (** Keys in [\[lo, hi\]] (inclusive bounds, either optional) in ascending

@@ -1,9 +1,14 @@
 (** A table: schema + MVCC store + secondary indexes.
 
-    Secondary indexes are value -> key-set maps maintained on version
-    install (PostgreSQL-style: index entries are never removed on update;
-    readers re-check visibility and the predicate against the base row,
-    and {!Mvcc.gc} keeps chains short). *)
+    A secondary index maps each value to the keys of every row version
+    ever installed with that value, and holds each such key's version
+    chain ({!Mvcc.chain}), so a lookup needs no second probe of the
+    store. Entries are added on install and never removed on update or
+    delete (PostgreSQL-style): a reader re-checks visibility and the
+    indexed value against the row visible at its snapshot, and
+    {!Mvcc.gc} keeps chains short. A value whose keys have all kept it
+    since they were installed with it needs no re-check at snapshots
+    above those installs and above the last gc horizon. *)
 
 type t
 
@@ -20,9 +25,17 @@ val read : t -> key:Mvcc.key -> at:int -> Value.t array option
 
 val latest_version : t -> key:Mvcc.key -> int option
 
-val index_lookup : t -> column:int -> value:Value.t -> at:int -> (Mvcc.key * Value.t array) list
-(** Visible rows whose indexed [column] equals [value] at snapshot [at].
-    Raises [Invalid_argument] if the column has no index. *)
+val index_select :
+  t -> column:int -> value:Value.t -> at:int -> keep:(Mvcc.key -> Value.t array -> bool) ->
+  limit:int option -> Value.t array list * int
+(** The secondary-index lookup [column = value] at snapshot [at]: the
+    visible rows it finds that [keep] accepts, at most [limit] of them,
+    in lookup order (deterministic for a given install history, not key
+    order); and the number of visible hits, which the cost model
+    charges whether or not [keep] takes them. When every key in the
+    value's bucket is known to be a hit at [at], the count needs no
+    walk and only the rows up to the limit are read. Raises
+    [Invalid_argument] if the column has no index. *)
 
 val has_index : t -> column:int -> bool
 

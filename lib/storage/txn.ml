@@ -120,6 +120,9 @@ let key_eq table expr =
       Some [| v |]
     | _ -> None
 
+(* The write buffer's entries for [table_name], in first-write order:
+   [Some row] for a put [pred] accepts, [None] for a delete or a put it
+   rejects. Every entry hides the snapshot's row under the same key. *)
 let matching_local_writes t table_name pred =
   List.fold_left
     (fun acc cell ->
@@ -131,47 +134,53 @@ let matching_local_writes t table_name pred =
       else acc)
     [] t.write_order
 
+let hidden_by local key =
+  match local with
+  | [] -> false
+  | _ -> List.exists (fun (k, _) -> Mvcc.Key_order.compare k key = 0) local
+
+let unhidden local hits =
+  match local with
+  | [] -> List.map snd hits
+  | _ -> List.filter_map (fun (key, row) -> if hidden_by local key then None else Some row) hits
+
 let select t ~table:table_name ?where ?limit () =
   let table = Database.table t.db table_name in
   let pred row = match where with None -> true | Some e -> Expr.eval_bool row e in
-  let base, overlay_keys =
-    match where with
-    | Some e when key_eq table e <> None -> begin
-      (* Primary-key point lookup. *)
-      let key = match key_eq table e with Some k -> k | None -> assert false in
-      t.scanned <- t.scanned + 1;
-      match Table.read table ~key ~at:t.snapshot with
-      | Some row when pred row -> ([ (key, row) ], [ key ])
-      | Some _ | None -> ([], [ key ])
-    end
-    | Some e -> begin
-      match indexable_eq table e with
-      | Some (col, v) ->
-        let hits = Table.index_lookup table ~column:col ~value:v ~at:t.snapshot in
-        t.scanned <- t.scanned + List.length hits;
-        (List.filter (fun (_, row) -> pred row) hits, List.map fst hits)
-      | None ->
-        let hits, examined = Table.scan table ~at:t.snapshot ~where:pred ?limit () in
-        t.scanned <- t.scanned + examined;
-        (hits, List.map fst hits)
-    end
-    | None ->
-      let hits, examined = Table.scan table ~at:t.snapshot ~where:pred ?limit () in
-      t.scanned <- t.scanned + examined;
-      (hits, List.map fst hits)
-  in
-  ignore overlay_keys;
   (* Overlay the write buffer: local puts that match are added/replace,
      local deletes and non-matching puts hide base rows. *)
   let local = matching_local_writes t table_name pred in
-  let hidden = List.map fst local in
-  let base_kept =
-    List.filter
-      (fun (key, _) -> not (List.exists (fun k -> Mvcc.Key_order.compare k key = 0) hidden))
-      base
+  let scan () =
+    let hits, examined = Table.scan table ~at:t.snapshot ~where:pred ?limit () in
+    t.scanned <- t.scanned + examined;
+    unhidden local hits
   in
-  let added = List.filter_map (fun (_, row) -> row) local in
-  let rows = List.map snd base_kept @ added in
+  let base =
+    match where with
+    | None -> scan ()
+    | Some e -> begin
+      match key_eq table e with
+      | Some key -> begin
+        (* Primary-key point lookup. *)
+        t.scanned <- t.scanned + 1;
+        match Table.read table ~key ~at:t.snapshot with
+        | Some row when pred row -> unhidden local [ (key, row) ]
+        | Some _ | None -> []
+      end
+      | None -> begin
+        match indexable_eq table e with
+        | Some (column, value) ->
+          let rows, hits =
+            Table.index_select table ~column ~value ~at:t.snapshot ~limit
+              ~keep:(fun key row -> pred row && not (hidden_by local key))
+          in
+          t.scanned <- t.scanned + hits;
+          rows
+        | None -> scan ()
+      end
+    end
+  in
+  let rows = base @ List.filter_map snd local in
   let rows = match limit with Some l -> List.filteri (fun i _ -> i < l) rows | None -> rows in
   t.read <- t.read + List.length rows;
   rows
@@ -191,18 +200,12 @@ let range t ~table:table_name ?lo ?hi ?where ?limit () =
     matching_local_writes t table_name pred
     |> List.filter (fun (key, _) -> in_range ?lo ?hi key)
   in
-  let hidden = List.map fst local in
-  let base_kept =
-    List.filter
-      (fun (key, _) -> not (List.exists (fun k -> Mvcc.Key_order.compare k key = 0) hidden))
-      base
-  in
   let added =
-    List.filter_map (fun (_, row) -> row) local
+    List.filter_map snd local
     |> List.sort (fun a b ->
            Mvcc.Key_order.compare (Schema.key_of_row schema a) (Schema.key_of_row schema b))
   in
-  let rows = List.map snd base_kept @ added in
+  let rows = unhidden local base @ added in
   let rows = match limit with Some l -> List.filteri (fun i _ -> i < l) rows | None -> rows in
   t.read <- t.read + List.length rows;
   rows

@@ -418,6 +418,83 @@ let test_parallel_chaos_matrix_identical () =
       Alcotest.(check int) "commit counts identical" a.committed b.committed)
     serial parallel
 
+(* --- Chaos verdicts --- *)
+
+(* A clean synthetic soak result: every requirement met. *)
+let passing_soak plan =
+  {
+    Experiments.Chaos.mode = Core.Consistency.Fine;
+    plan;
+    seed = 49;
+    tiers = false;
+    committed = 500;
+    aborted = 3;
+    aborts_by_reason = [];
+    violations = [ ("first_committer_wins", 0); ("epoch_fencing", 0) ];
+    duplicate_commit_versions = 0;
+    wedged = false;
+    wedge_drain_ms = 40.0;
+    digest = "d";
+    drops = 0;
+    duplicates = 0;
+    delays = 0;
+    retransmits = 0;
+    suspects = 0;
+    failovers = 0;
+    reprovisions = 0;
+    evictions = 0;
+    promotions = 1;
+    fenced = 0;
+    epoch = 1;
+    elections = 1;
+    vote_denials = 0;
+    lease_expiries = 0;
+    lb_takeovers = 1;
+    lb_fenced = 0;
+    lb_epoch = 1;
+    divergent_log_entries = 0;
+    outage_max_ms = 0.0;
+    shed = 1;
+    deadline_expired = 0;
+    retry_budget_exhausted = 0;
+    max_queue_depth = 0;
+    zombie_commits = 0;
+  }
+
+let test_chaos_failures_named () =
+  let open Experiments.Chaos in
+  let check name want r =
+    Alcotest.(check (list string)) name want (failures r);
+    Alcotest.(check bool) (name ^ ": ok iff no failures") (want = []) (ok r)
+  in
+  List.iter
+    (fun plan -> check ("passing " ^ plan_name plan) [] (passing_soak plan))
+    all_plans;
+  (* The livelock signature: zero violations, yet no standby promoted. *)
+  check "liveness only" [ "no promotion under cert-failover" ]
+    { (passing_soak CertFailover) with promotions = 0; elections = 68 };
+  check "control plane" [ "no promotion under control-plane"; "no LB takeover" ]
+    { (passing_soak ControlPlane) with promotions = 0; lb_takeovers = 0 };
+  check "promotions only required where the plan fails over" []
+    { (passing_soak Mixed) with promotions = 0; lb_takeovers = 0; shed = 0 };
+  check "overload" [ "nothing shed under overload" ] { (passing_soak Overload) with shed = 0 };
+  check "safety and wedge, in order"
+    [
+      "wedged";
+      "first_committer_wins violated (2)";
+      "duplicate commit versions (1)";
+      "divergent certifier log (3 entries)";
+      "zombie commits (4)";
+    ]
+    {
+      (passing_soak Mixed) with
+      wedged = true;
+      violations = [ ("first_committer_wins", 2); ("epoch_fencing", 0) ];
+      duplicate_commit_versions = 1;
+      divergent_log_entries = 3;
+      zombie_commits = 4;
+    }
+
 let suites =
   [
     ( "experiments",
@@ -440,6 +517,8 @@ let suites =
           test_map_jobs_order_and_results;
         Alcotest.test_case "chaos matrix digests identical at -j 4" `Quick
           test_parallel_chaos_matrix_identical;
+        Alcotest.test_case "chaos failures name the requirement" `Quick
+          test_chaos_failures_named;
       ] );
     ( "experiments.bench",
       [

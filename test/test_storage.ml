@@ -896,6 +896,369 @@ let prop_txn_atomic_transfer =
         transfers;
       total db = before)
 
+(* --- Scan paths against Storage_oracle --- *)
+
+(* Key components: ints, non-integral floats between them, and (for the
+   bare directory) integral floats, which compare equal to the int of
+   the same value. *)
+let scan_value_gen ?(span = 12) ~integral_floats () =
+  let open QCheck.Gen in
+  let n = int_range 0 (span - 1) in
+  let ints = map vi n in
+  let halves = map (fun i -> Value.Float (float_of_int i +. 0.5)) n in
+  if integral_floats then oneof [ ints; halves; map (fun i -> Value.Float (float_of_int i)) n ]
+  else oneof [ ints; halves ]
+
+(* A key bound: any prefix of a key, the empty one included. *)
+let bound_gen ?span ~arity () =
+  let open QCheck.Gen in
+  option
+    (let* n = int_range 0 arity in
+     array_size (return n) (scan_value_gen ?span ~integral_floats:true ()))
+
+type dir_op =
+  | D_install of Mvcc.key * bool  (** [true] = put, [false] = delete *)
+  | D_gc of int
+  | D_scan
+  | D_range of Mvcc.key option * Mvcc.key option
+
+(* Up to 1,500 keys loaded before the first scan, so later fresh keys
+   meet a large sorted base and gather in the run before compaction. *)
+let dir_case_gen =
+  let open QCheck.Gen in
+  let* arity = int_range 1 2 in
+  let key = array_size (return arity) (scan_value_gen ~span:400 ~integral_floats:true ()) in
+  let* load = list_size (int_range 0 1_500) key in
+  let reinstall = match load with [] -> key | _ -> oneofl load in
+  let op =
+    frequency
+      [
+        (4, map2 (fun k put -> D_install (k, put)) key (frequencyl [ (4, true); (1, false) ]));
+        (2, map2 (fun k put -> D_install (k, put)) reinstall (frequencyl [ (4, true); (1, false) ]));
+        (1, map (fun h -> D_gc h) nat);
+        (2, return D_scan);
+        ( 3,
+          map2
+            (fun lo hi -> D_range (lo, hi))
+            (bound_gen ~span:400 ~arity ())
+            (bound_gen ~span:400 ~arity ()) );
+      ]
+  in
+  let* ops = list_size (int_range 0 80) op in
+  return (arity, load, ops)
+
+let pp_dir_case (arity, load, ops) =
+  Printf.sprintf "arity %d, %d loaded keys, %d ops" arity (List.length load) (List.length ops)
+
+(* Equal as directories: the same keys in the same order, where keys
+   that compare equal (an int and the integral float of its value) may
+   stand in either order. *)
+let same_directory got want =
+  List.compare_lengths got want = 0
+  && List.for_all2 (fun a b -> Mvcc.Key_order.compare a b = 0) got want
+  && List.sort compare got = List.sort compare want
+
+let prop_directory_matches_full_sort =
+  QCheck.Test.make ~name:"key directory order equals a full sort" ~count:100
+    (QCheck.make ~print:pp_dir_case dir_case_gen) (fun (_, load, ops) ->
+      let store = Mvcc.create () and oracle = Storage_oracle.Mvcc.create () in
+      let version = ref 0 in
+      let install key row =
+        incr version;
+        Mvcc.install store key ~version:!version row;
+        Storage_oracle.Mvcc.install oracle key ~version:!version row
+      in
+      let keys iter =
+        let acc = ref [] in
+        iter (fun k -> acc := k :: !acc);
+        List.rev !acc
+      in
+      let scan_ok () =
+        same_directory (keys (Mvcc.iter_keys_ordered store))
+          (Storage_oracle.Mvcc.ordered_keys oracle)
+      in
+      List.iter (fun key -> install key (Some [| vi 0 |])) load;
+      List.for_all
+        (function
+          | D_install (key, put) ->
+            install key (if put then Some [| vi !version |] else None);
+            true
+          | D_gc h ->
+            let keep_after = h mod (!version + 1) in
+            ignore (Mvcc.gc store ~keep_after);
+            Storage_oracle.Mvcc.gc oracle ~keep_after;
+            true
+          | D_scan -> scan_ok ()
+          | D_range (lo, hi) ->
+            same_directory
+              (keys (Mvcc.iter_keys_range store ?lo ?hi))
+              (Storage_oracle.Mvcc.range_keys oracle ?lo ?hi ()))
+        ops
+      && scan_ok ())
+
+(* Two tables, both indexed on [g]: a composite key and a single one.
+   Committed rows may carry non-integral floats in their key columns
+   (writesets are not schema-checked); a transaction's own writes are
+   validated, so they use ints. *)
+let scan_schemas =
+  [
+    Schema.make ~name:"pairs"
+      ~columns:[ ("a", Value.Tint); ("b", Value.Tint); ("g", Value.Tint); ("v", Value.Tint) ]
+      ~indexes:[ "g" ] ~key:[ "a"; "b" ] ();
+    Schema.make ~name:"single"
+      ~columns:[ ("k", Value.Tint); ("g", Value.Tint); ("v", Value.Tint) ]
+      ~indexes:[ "g" ] ~key:[ "k" ] ();
+  ]
+
+let arity_of = function "pairs" -> 2 | _ -> 1
+
+let row_of key ~g ~v = Array.append key [| vi g; vi v |]
+
+type where_spec =
+  | W_all
+  | W_index of int  (** g = c *)
+  | W_index_and of int * int  (** g = c AND v >= x *)
+  | W_scan of int  (** v >= x *)
+  | W_first of Value.t  (** first key column = c: a key lookup on [single] *)
+
+type stmt_spec =
+  | S_select of where_spec * int option
+  | S_range of Mvcc.key option * Mvcc.key option * where_spec * int option
+
+type local_write = L_put of int array * int * int | L_delete of int array
+
+type scan_op =
+  | Commit of (string * Mvcc.key * (int * int) option) list
+  | Gc of int
+  | Query of {
+      table : string;
+      snapshot : int;
+      local : (string * local_write) list;
+      stmt : stmt_spec;
+    }
+
+let scan_op_gen =
+  let open QCheck.Gen in
+  let table = oneofl [ "pairs"; "single" ] in
+  let key table =
+    array_size (return (arity_of table)) (scan_value_gen ~integral_floats:false ())
+  in
+  let int_key table = array_size (return (arity_of table)) (int_range 0 11) in
+  let entry =
+    let* t = table in
+    let* k = key t in
+    let* put = frequencyl [ (4, true); (1, false) ] in
+    let* g = int_range 0 3 and* v = int_range 0 9 in
+    return (t, k, if put then Some (g, v) else None)
+  in
+  let where =
+    frequency
+      [
+        (2, return W_all);
+        (4, map (fun c -> W_index c) (int_range 0 4));
+        (2, map2 (fun c x -> W_index_and (c, x)) (int_range 0 3) (int_range 0 9));
+        (2, map (fun x -> W_scan x) (int_range 0 9));
+        (1, map (fun c -> W_first c) (scan_value_gen ~integral_floats:false ()));
+      ]
+  in
+  let limit = frequency [ (2, return None); (3, map Option.some (int_range 0 6)) ] in
+  let local_write =
+    let* t = table in
+    let* k = int_key t in
+    let* g = int_range 0 3 and* v = int_range 0 9 in
+    let* put = frequencyl [ (3, true); (1, false) ] in
+    return (t, if put then L_put (k, g, v) else L_delete k)
+  in
+  frequency
+    [
+      (5, map (fun es -> Commit es) (list_size (int_range 1 4) entry));
+      (1, map (fun h -> Gc h) nat);
+      ( 4,
+        let* t = table in
+        let* snapshot = nat in
+        let* local =
+          frequency [ (1, return []); (1, list_size (int_range 1 3) local_write) ]
+        in
+        let* stmt =
+          frequency
+            [
+              (3, map2 (fun w l -> S_select (w, l)) where limit);
+              ( 2,
+                let* lo = bound_gen ~arity:(arity_of t) () and* hi = bound_gen ~arity:(arity_of t) () in
+                let* w = oneofl [ W_all; W_scan 3; W_index 1 ] and* l = limit in
+                return (S_range (lo, hi, w, l)) );
+            ]
+        in
+        return (Query { table = t; snapshot; local; stmt }) );
+    ]
+
+(* A bulk of fresh keys first, so later inserts meet a large sorted base
+   and land in the small run. *)
+let scan_history_gen =
+  let open QCheck.Gen in
+  let* bulk = int_range 0 60 in
+  let* ops = list_size (int_range 0 60) scan_op_gen in
+  return (bulk, ops)
+
+let pp_scan_history (bulk, ops) =
+  Printf.sprintf "%d bulk rows, %d ops" bulk (List.length ops)
+
+let where_expr table w =
+  let g = arity_of table in
+  let v = g + 1 in
+  match w with
+  | W_all -> None
+  | W_index c -> Some (Expr.Cmp (Eq, Col g, Const (vi c)))
+  | W_index_and (c, x) ->
+    Some (Expr.And (Cmp (Eq, Col g, Const (vi c)), Cmp (Ge, Col v, Const (vi x))))
+  | W_scan x -> Some (Expr.Cmp (Ge, Col v, Const (vi x)))
+  | W_first c -> Some (Expr.Cmp (Eq, Col 0, Const c))
+
+(* Replays a history on a database and on the oracle tables; every
+   query runs on both and must return the same rows and charge the same
+   costs. Returns the database and whether every query agreed. *)
+let replay_scans (bulk, ops) =
+  let db = Database.create () in
+  let oracle =
+    List.map
+      (fun s ->
+        ignore (Database.create_table db s);
+        (s.Schema.table_name, Storage_oracle.Table.create s))
+      scan_schemas
+  in
+  let commit entries =
+    (* One entry per record: a writeset keeps a record's last write. *)
+    let entries =
+      List.fold_left
+        (fun acc ((t, k, _) as e) ->
+          if List.exists (fun (t', k', _) -> t = t' && k = k') acc then acc else e :: acc)
+        [] entries
+      |> List.rev
+    in
+    let version = Database.version db + 1 in
+    Database.apply db
+      (Writeset.of_entries ~intern:(Database.intern db)
+         (List.map
+            (fun (t, k, op) ->
+              {
+                Writeset.ws_table = t;
+                ws_key = k;
+                ws_op =
+                  (match op with
+                  | Some (g, v) -> Writeset.Put (row_of k ~g ~v)
+                  | None -> Writeset.Delete);
+              })
+            entries))
+      ~version;
+    List.iter
+      (fun (t, k, op) ->
+        Storage_oracle.Table.install (List.assoc t oracle) ~key:k ~version
+          (Option.map (fun (g, v) -> row_of k ~g ~v) op))
+      entries
+  in
+  for i = 0 to bulk - 1 do
+    commit [ ("pairs", [| vi (i / 6); vi (i mod 6) |], Some (i mod 4, i mod 10)) ];
+    commit [ ("single", [| Value.Float (float_of_int i +. 0.5) |], Some (i mod 4, i mod 10)) ]
+  done;
+  let agreed = ref true in
+  List.iter
+    (function
+      | Commit entries -> commit entries
+      | Gc h ->
+        let keep_after = h mod (Database.version db + 1) in
+        ignore (Database.gc db ~keep_after);
+        List.iter
+          (fun (_, t) -> Storage_oracle.Mvcc.gc t.Storage_oracle.Table.store ~keep_after)
+          oracle
+      | Query { table; snapshot; local; stmt } ->
+        (* Snapshots below the gc horizon read trimmed chains; the two
+           sides trim alike, so they must still agree there. *)
+        let at = snapshot mod (Database.version db + 1) in
+        let txn = Txn.begin_at db ~snapshot:at in
+        List.iter
+          (fun (t, w) ->
+            match w with
+            | L_put (k, g, v) ->
+              ignore (Txn.put txn ~table:t (row_of (Array.map vi k) ~g ~v))
+            | L_delete k -> ignore (Txn.delete_key txn ~table:t ~key:(Array.map vi k)))
+          local;
+        let writes =
+          List.filter_map
+            (fun e ->
+              if e.Writeset.ws_table <> table then None
+              else
+                Some
+                  ( e.Writeset.ws_key,
+                    match e.Writeset.ws_op with Writeset.Put r -> Some r | Delete -> None ))
+            (Writeset.entries (Txn.writeset txn))
+        in
+        ignore (Txn.reset_cost txn);
+        let ot = List.assoc table oracle in
+        let rows, (want, scanned) =
+          match stmt with
+          | S_select (w, limit) ->
+            let where = where_expr table w in
+            ( Txn.select txn ~table ?where ?limit (),
+              Storage_oracle.select ot ~at ~writes ?where ?limit () )
+          | S_range (lo, hi, w, limit) ->
+            let where = where_expr table w in
+            ( Txn.range txn ~table ?lo ?hi ?where ?limit (),
+              Storage_oracle.range ot ~at ~writes ?lo ?hi ?where ?limit () )
+        in
+        let cost = Txn.cost txn in
+        if
+          not
+            (rows = want
+            && cost.Txn.rows_scanned = scanned
+            && cost.Txn.rows_read = List.length want
+            && cost.Txn.rows_written = 0)
+        then agreed := false)
+    ops;
+  (db, !agreed)
+
+let prop_scans_match_oracle =
+  QCheck.Test.make ~name:"select and range rows and costs equal the oracle" ~count:300
+    (QCheck.make ~print:pp_scan_history scan_history_gen) (fun history ->
+      snd (replay_scans history))
+
+let prop_snapshot_roundtrip_unchanged =
+  QCheck.Test.make ~name:"snapshot round-trips unchanged" ~count:150
+    (QCheck.make ~print:pp_scan_history scan_history_gen) (fun history ->
+      let db, _ = replay_scans history in
+      let data = Database.snapshot db in
+      Database.snapshot (Database.of_snapshot data) = data)
+
+(* An index hit is judged at the snapshot, also below the gc horizon:
+   a key whose only version at or below the snapshot was collected is
+   no hit there, even though its value never changed. *)
+let test_index_select_below_gc_horizon () =
+  let db = Database.create () in
+  List.iter (fun s -> ignore (Database.create_table db s)) scan_schemas;
+  let put ~version v =
+    Database.apply db
+      (Writeset.of_entries
+         [
+           {
+             Writeset.ws_table = "single";
+             ws_key = [| vi 1 |];
+             ws_op = Writeset.Put [| vi 1; vi 0; vi v |];
+           };
+         ])
+      ~version
+  in
+  put ~version:1 10;
+  put ~version:2 20;
+  ignore (Database.gc db ~keep_after:2);
+  let select at =
+    let txn = Txn.begin_at db ~snapshot:at in
+    let rows =
+      Txn.select txn ~table:"single" ~where:(Expr.Cmp (Eq, Col 1, Const (vi 0))) ~limit:5 ()
+    in
+    (List.length rows, (Txn.cost txn).Txn.rows_scanned)
+  in
+  Alcotest.(check (pair int int)) "rows and hits at the horizon" (1, 1) (select 2);
+  Alcotest.(check (pair int int)) "rows and hits below it" (0, 0) (select 1)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -926,7 +1289,7 @@ let suites =
         Alcotest.test_case "gc" `Quick test_mvcc_gc;
         Alcotest.test_case "ordered iteration" `Quick test_mvcc_ordered_iteration;
       ]
-      @ qsuite [ prop_mvcc_matches_model ] );
+      @ qsuite [ prop_mvcc_matches_model; prop_directory_matches_full_sort ] );
     ( "storage.writeset",
       [
         Alcotest.test_case "conflicts" `Quick test_writeset_conflicts;
@@ -958,7 +1321,10 @@ let suites =
         Alcotest.test_case "group count" `Quick test_query_group_count;
         Alcotest.test_case "join" `Quick test_query_join;
         Alcotest.test_case "join table-set" `Quick test_query_join_tableset;
-      ] );
+        Alcotest.test_case "index select below the gc horizon" `Quick
+          test_index_select_below_gc_horizon;
+      ]
+      @ qsuite [ prop_scans_match_oracle ] );
     ( "storage.database",
       [
         Alcotest.test_case "out-of-order apply rejected" `Quick
@@ -987,5 +1353,6 @@ let suites =
             prop_fingerprint_matches_reference;
             prop_fingerprint_ignores_key_order;
             prop_fingerprint_survives_snapshot;
+            prop_snapshot_roundtrip_unchanged;
           ] );
   ]

@@ -369,6 +369,49 @@ let test_tpcc_cluster_run () =
     true
     (Core.Metrics.abort_rate m < 0.25)
 
+(* A short fine-mode TPC-W cluster, pinned. Secondary-index selects,
+   primary-key ranges over order_line interleaved with fresh order
+   inserts, and MVCC gc all run here; the rows a scan returns and the
+   rows_scanned/rows_read it reports price virtual CPU time, so any
+   change in what a storage scan reads or returns moves the runlog
+   digest. The golden values were captured from the full-sort key
+   directory and the list-based index lookup the incremental directory
+   and the streaming index select replaced. *)
+let tpcw_golden_run () =
+  let config =
+    { Core.Config.default with replicas = 2; seed = 23; record_log = true }
+  in
+  let params = { tpcw_params with Workload.Tpcw.think_mean_ms = 20.0 } in
+  let cluster =
+    Core.Cluster.create ~config ~mode:Core.Consistency.Fine
+      ~schemas:Workload.Tpcw.schemas
+      ~load:(Workload.Tpcw.load params)
+      ()
+  in
+  for sid = 0 to 11 do
+    Core.Client.spawn cluster ~sid ~rng:(Core.Cluster.rng cluster)
+      (Workload.Tpcw.workload params Workload.Tpcw.Shopping ~sid)
+  done;
+  Core.Cluster.run_for cluster ~warmup_ms:200.0 ~measure_ms:2_000.0;
+  let log = Core.Cluster.records cluster in
+  let fingerprints =
+    List.init 2 (fun i ->
+        let r = Core.Cluster.replica cluster i in
+        Storage.Database.fingerprint (Core.Replica.database r) ~at:(Core.Replica.v_local r))
+  in
+  (Check.Runlog.digest log, List.length log, fingerprints)
+
+let golden_tpcw_digest = "2139b8a01d8eab656c63c14c4ce46ba1"
+let golden_tpcw_commits = 978
+let golden_tpcw_fingerprints = [ 2565643156232927746; 2565643156232927746 ]
+
+let test_tpcw_cluster_matches_golden () =
+  let digest, commits, fingerprints = tpcw_golden_run () in
+  Alcotest.(check int) "golden commit count" golden_tpcw_commits commits;
+  Alcotest.(check string) "golden runlog digest" golden_tpcw_digest digest;
+  Alcotest.(check (list int)) "golden replica fingerprints" golden_tpcw_fingerprints
+    fingerprints
+
 let suites =
   [
     ( "workload.micro",
@@ -388,6 +431,8 @@ let suites =
         Alcotest.test_case "cart per session" `Quick test_tpcw_cart_isolated_per_session;
         Alcotest.test_case "table-sets are supersets" `Quick
           test_tpcw_table_sets_are_supersets;
+        Alcotest.test_case "fine cluster run matches golden" `Quick
+          test_tpcw_cluster_matches_golden;
       ] );
     ( "workload.tpcc",
       [
