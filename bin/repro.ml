@@ -115,33 +115,6 @@ let batch_cmd =
       const batch $ quick_arg $ seed_arg $ cert_batch_arg $ apply_parallelism_arg
       $ clients_arg $ costs_arg)
 
-(* --- certindex: host cost of the certification conflict check --- *)
-
-let certindex quick versions ws_rows jobs =
-  let versions = if quick then min versions 2_000 else versions in
-  let stalenesses =
-    List.filter (fun s -> s <= versions) Experiments.Cert_index.default_stalenesses
-  in
-  let points = Experiments.Cert_index.run ~versions ~ws_rows ~stalenesses ~jobs () in
-  print_string (Experiments.Cert_index.render points)
-
-let certindex_cmd =
-  let versions =
-    let doc = "Committed versions in the certifier log fixture." in
-    Arg.(value & opt int 10_000 & info [ "versions" ] ~docv:"N" ~doc)
-  in
-  let ws_rows =
-    let doc = "Rows per writeset (both the committed and the probing ones)." in
-    Arg.(value & opt int 4 & info [ "ws-rows" ] ~docv:"N" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "certindex"
-       ~doc:
-         "Measure the host CPU cost of Linear vs Keyed certification as the \
-          requesting snapshot falls behind (the simulated protocol is \
-          decision-identical either way)")
-    Term.(const certindex $ quick_arg $ versions $ ws_rows $ jobs_arg)
-
 (* --- ablations --- *)
 
 let ablation which quick =
@@ -781,7 +754,7 @@ let () =
   let group =
     Cmd.group ~default:trace_term info
       [
-        table1_cmd; fig3_cmd; fig4_cmd; fig5_cmd; fig7_cmd; batch_cmd; certindex_cmd;
+        table1_cmd; fig3_cmd; fig4_cmd; fig5_cmd; fig7_cmd; batch_cmd;
         ablation_cmd; ycsb_cmd; tpcc_cmd; check_cmd; chaos_cmd; overload_cmd; tiers_cmd;
         bench_cmd;
         report_cmd;

@@ -4,12 +4,6 @@ type routing =
   | Random_replica
   | Session_affinity
 
-type cert_index =
-  | Linear
-  | Keyed
-
-let cert_index_name = function Linear -> "linear" | Keyed -> "keyed"
-
 type t = {
   seed : int;
   replicas : int;
@@ -30,7 +24,6 @@ type t = {
   certify_row_ms : float;
   durability_ms : float;
   cert_batch : int;
-  cert_index : cert_index;
   certifier_standbys : int;
   standby_ack_quorum : int;
   cert_heartbeat_ms : float;
@@ -117,7 +110,6 @@ let default =
     certify_row_ms = 0.005;
     durability_ms = 0.08;
     cert_batch = 1;
-    cert_index = Keyed;
     certifier_standbys = 0;
     standby_ack_quorum = 0;
     cert_heartbeat_ms = 10.0;
@@ -256,47 +248,3 @@ let validate c =
   else if c.deadline_ms < 0.0 then
     err "deadline must be > 0, or 0 to disable (got %g ms)" c.deadline_ms
   else Ok ()
-
-let pp ppf c =
-  Format.fprintf ppf
-    "@[<v>replicas=%d cpus=%d seed=%d@,\
-     net: base=%.2fms jitter=%.2fms bw=%.0fMbps lb=%.2fms@,\
-     exec: stmt=%.2f scan=%.3f read=%.3f write=%.3f (ms)@,\
-     commit: ro=%.2f upd=%.2f apply=%.2f+%.2f/row (ms)@,\
-     certifier: %.2f+%.3f/row durability=%.2f index=%s (ms)@,\
-     batching: cert_batch=%d apply_parallelism=%d@,\
-     jitter=%b retries=%d record_log=%b watermark_slack=%d@,\
-     reliable=%b rto=%.1fms max_retransmits=%d retransmit=%.0fms \
-     heartbeat=%.0fms suspect=%.0fms dead=%.0fms evict=%.0fms \
-     start_wait=%.0fms backoff=%.1f..%.0fms@,\
-     certifier HA: standbys=%d ack_quorum=%s heartbeat=%.0fms suspect=%.0fms \
-     promotion_backoff=%.0fms election_timeout=%.0fms voter_lease=%s@,\
-     lb HA: standby=%b repl=%.0fms suspect=%.0fms@,\
-     observatory: window=%.0fms hist_buckets/decade=%d@,\
-     read tiers: enabled=%b history=%.0fms@,\
-     overload: admission_limit=%s rate=%s burst=%.0f cert_queue_bound=%s \
-     apply_lag_gap=%s retry_after=%.1fms retry_budget=%s deadline=%s@]"
-    c.replicas c.cpus_per_replica c.seed c.net_base_ms c.net_jitter_ms c.net_bandwidth_mbps
-    c.lb_ms c.stmt_base_ms c.row_scan_ms c.row_read_ms c.row_write_ms c.ro_commit_ms
-    c.commit_ms c.ws_apply_base_ms c.ws_apply_row_ms c.certify_base_ms c.certify_row_ms
-    c.durability_ms (cert_index_name c.cert_index) c.cert_batch c.apply_parallelism
-    c.service_jitter c.max_retries c.record_log c.watermark_slack c.reliable c.rto_ms
-    c.max_retransmits c.retransmit_ms c.heartbeat_ms c.suspect_after_ms c.dead_after_ms
-    c.evict_after_ms c.start_wait_timeout_ms c.retry_backoff_ms c.retry_backoff_max_ms
-    c.certifier_standbys
-    (if c.standby_ack_quorum <= 0 then "all" else string_of_int c.standby_ack_quorum)
-    c.cert_heartbeat_ms c.cert_suspect_after_ms c.promotion_backoff_ms
-    c.cert_election_timeout_ms
-    (if c.voter_lease_ms <= 0.0 then "off" else Printf.sprintf "%.0fms" c.voter_lease_ms)
-    c.lb_standby c.lb_repl_ms c.lb_suspect_after_ms
-    c.obs_window_ms c.obs_hist_buckets_per_decade c.read_tiers c.tier_history_ms
-    (if c.admission_limit <= 0 then "off" else string_of_int c.admission_limit)
-    (if c.admission_rate_tps <= 0.0 then "off"
-     else Printf.sprintf "%.0ftps" c.admission_rate_tps)
-    c.admission_burst
-    (if c.cert_queue_bound <= 0 then "off" else string_of_int c.cert_queue_bound)
-    (if c.apply_lag_gap <= 0 then "off" else string_of_int c.apply_lag_gap)
-    c.shed_retry_after_ms
-    (if c.retry_budget <= 0.0 then "off"
-     else Printf.sprintf "%.0f@%.0f/s" c.retry_budget c.retry_budget_per_s)
-    (if c.deadline_ms <= 0.0 then "off" else Printf.sprintf "%.0fms" c.deadline_ms)

@@ -8,22 +8,6 @@ type routing =
       (** pin each session to a replica (hash of the session id);
           falls back to least-active when the pinned replica is down *)
 
-(** How the certifier evaluates the first-committer-wins check (see
-    docs/PROTOCOL.md, "Certification index and watermark GC"). Both
-    implementations produce exactly the same commit/abort decisions and
-    version assignments — the choice only moves host (wall-clock) work,
-    never virtual time. *)
-type cert_index =
-  | Linear
-      (** scan the writeset log over (snapshot, V]: O(versions-behind ×
-          |writeset|) per request. The paper's formulation; retained as
-          the differential-testing oracle for [Keyed]. *)
-  | Keyed
-      (** probe a hash index [(table, key) → last committed version]:
-          O(|writeset|) per request regardless of snapshot age. *)
-
-val cert_index_name : cert_index -> string
-
 (** Cluster and cost-model parameters.
 
     All times are milliseconds of virtual time. Service times are scaled
@@ -59,17 +43,13 @@ type t = {
       (** group certification: the maximum number of queued certification
           requests decided in one batch. The certifier drains its backlog
           (up to this cap) each time its CPU frees up, certifies the
-          batch in one pass over the writeset log — intra-batch
-          write-write conflicts abort the later arrival — assigns a
-          contiguous version range, forces the log {e once} per batch,
-          replicates to the standbys in one round trip and propagates one
-          refresh batch message per replica. 1 (the default) reproduces
+          batch in one pass — intra-batch write-write conflicts abort
+          the later arrival — assigns a contiguous version range,
+          forces the log {e once} per batch, replicates to the standbys
+          in one round trip and propagates one refresh batch message per
+          replica. 1 (the default) reproduces
           unbatched certification exactly: every event, sleep and random
           draw is the same as before batching existed. *)
-  cert_index : cert_index;
-      (** conflict-check implementation; {!Keyed} (the default) and
-          {!Linear} are decision-identical (pinned by golden and
-          property tests), so this knob only trades host CPU. *)
   certifier_standbys : int;
       (** replicas of the certifier state machine (§IV fault-tolerance).
           Each commit decision is synchronously replicated to every
@@ -366,5 +346,3 @@ val validate : t -> (unit, string) result
     that does not exceed the push period. {!Cluster.create} runs this
     and raises [Invalid_argument] on [Error]; the CLI surfaces the
     message as a clean usage error. *)
-
-val pp : Format.formatter -> t -> unit

@@ -31,10 +31,13 @@ module Key_tbl = Hashtbl.Make (struct
     for i = 0 to Array.length k - 1 do
       (* Ints hash as themselves: primary keys are typically dense, so
          the identity is uniform under the table's power-of-two masking
-         and skips a generic-hash call per element per probe. *)
+         and skips a generic-hash call per element per probe. An
+         integral float equals the int of its value, so it hashes as
+         that int too. *)
       let hv =
         match Array.unsafe_get k i with
         | Value.Int x -> x
+        | Value.Float f when Float.is_integer f -> int_of_float f
         | Value.Text s -> Hashtbl.hash s
         | v -> Value.hash v
       in

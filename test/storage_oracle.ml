@@ -16,8 +16,7 @@ let compare_keys = Mvcc.Key_order.compare
 
 module Mvcc = struct
   (* The library's chain table, hash and equality included, so a store
-     fed the same installs holds the same key set (integral floats and
-     ints compare equal but hash apart here, as they do there). *)
+     fed the same installs holds the same key set. *)
   module Key_tbl = Hashtbl.Make (struct
     type t = key
 
@@ -29,6 +28,7 @@ module Mvcc = struct
         let hv =
           match k.(i) with
           | Value.Int x -> x
+          | Value.Float f when Float.is_integer f -> int_of_float f
           | Value.Text s -> Hashtbl.hash s
           | v -> Value.hash v
         in

@@ -1,8 +1,9 @@
 (* The keyed certification index: unit tests for index maintenance
-   (commit, prune, failover rebuild), a QCheck differential property
-   pinning Linear ≡ Keyed across randomized workloads with log
-   truncation and certifier failover mid-stream, watermark-driven log
-   GC, and the load balancer's watermark-bounded session table. *)
+   (commit, prune, failover rebuild), QCheck properties holding every
+   keyed decision to the paper's log scan (a test-only oracle) across
+   randomized workloads with log truncation and certifier failover
+   mid-stream, watermark-driven log GC, and the load balancer's
+   watermark-bounded session table. *)
 
 let small_config =
   {
@@ -34,13 +35,20 @@ let with_certifier ?(config = small_config) ?(mode = Core.Consistency.Coarse) f 
   Sim.Process.spawn engine (fun () -> f certifier);
   Sim.Engine.run engine
 
-let keyed_config = { small_config with Core.Config.cert_index = Core.Config.Keyed }
-let linear_config = { small_config with Core.Config.cert_index = Core.Config.Linear }
+(* The paper's log scan over the public API, kept as the oracle for the
+   index: a request aborts iff its snapshot predates the retained log or
+   an entry the primary logged after the snapshot writes one of its
+   keys. *)
+let linear_predicts_abort c ~snapshot ws =
+  snapshot < Core.Certifier.log_base c
+  || List.exists
+       (fun (v, logged) -> v > snapshot && Storage.Writeset.conflicts ws logged)
+       (Core.Certifier.node_log c (Core.Certifier.primary_index c))
 
 (* --- index maintenance ------------------------------------------------ *)
 
 let test_index_tracks_last_writer () =
-  with_certifier ~config:keyed_config (fun c ->
+  with_certifier (fun c ->
       (* Distinct keys: one index entry each. *)
       for i = 1 to 5 do
         match Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i) with
@@ -63,23 +71,28 @@ let test_index_tracks_last_writer () =
       | _ -> Alcotest.fail "non-conflicting key aborted")
 
 let test_linear_oracle_conflict_window () =
-  (* The Linear arm must implement the same window semantics — the
-     conflict-window unit test rerun against the scan oracle. *)
-  with_certifier ~config:linear_config (fun c ->
-      Alcotest.(check int) "linear keeps no index" 0 (Core.Certifier.index_size c);
+  (* The oracle must implement the window the index is held to, and the
+     index must agree with it wherever the raw check applies. *)
+  with_certifier (fun c ->
+      let agree name expected ~snapshot ws =
+        Alcotest.(check bool) name expected (linear_predicts_abort c ~snapshot ws);
+        Alcotest.(check bool) (name ^ " (index)") expected
+          (Core.Certifier.check_conflict c ~snapshot ~ws)
+      in
+      agree "empty log" false ~snapshot:0 (ws_on "t" 1);
       (match Core.Certifier.certify c ~origin:0 ~snapshot:0 ~ws:(ws_on "t" 1) with
       | Core.Certifier.Commit { version; _ } -> Alcotest.(check int) "v1" 1 version
       | _ -> Alcotest.fail "first writer aborted");
-      (match Core.Certifier.certify c ~origin:1 ~snapshot:0 ~ws:(ws_on "t" 1) with
-      | Core.Certifier.Abort -> ()
-      | _ -> Alcotest.fail "conflicting writer committed");
-      (match Core.Certifier.certify c ~origin:1 ~snapshot:1 ~ws:(ws_on "t" 1) with
-      | Core.Certifier.Commit _ -> ()
-      | _ -> Alcotest.fail "sequential writer aborted");
-      Alcotest.(check int) "still no index" 0 (Core.Certifier.index_size c))
+      agree "writer after the snapshot" true ~snapshot:0 (ws_on "t" 1);
+      agree "sequential writer" false ~snapshot:1 (ws_on "t" 1);
+      agree "disjoint key" false ~snapshot:0 (ws_on "t" 2);
+      agree "same key, other table" false ~snapshot:0 (ws_on "u" 1);
+      Core.Certifier.prune c ~keep_after:1;
+      Alcotest.(check bool) "snapshot below the pruned horizon" true
+        (linear_predicts_abort c ~snapshot:0 (ws_on "t" 2)))
 
 let test_prune_drops_index_entries () =
-  with_certifier ~config:keyed_config (fun c ->
+  with_certifier (fun c ->
       for i = 1 to 10 do
         match Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i) with
         | Core.Certifier.Commit _ -> ()
@@ -97,7 +110,7 @@ let test_prune_drops_index_entries () =
       | _ -> Alcotest.fail "up-to-date writer aborted")
 
 let test_failover_rebuilds_index () =
-  let config = { keyed_config with Core.Config.certifier_standbys = 1 } in
+  let config = { small_config with Core.Config.certifier_standbys = 1 } in
   with_certifier ~config (fun c ->
       for i = 1 to 8 do
         match Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i) with
@@ -117,7 +130,7 @@ let test_failover_rebuilds_index () =
       | Core.Certifier.Commit _ -> ()
       | _ -> Alcotest.fail "clean writer aborted after failover")
 
-(* --- Linear ≡ Keyed differential property ----------------------------- *)
+(* --- keyed decisions vs the Linear oracle ------------------------------ *)
 
 type op =
   | Certify of int * int * int  (* origin, key, staleness *)
@@ -129,17 +142,16 @@ let pp_op = function
   | Truncate w -> Printf.sprintf "Truncate(%d)" w
   | Failover -> "Failover"
 
-(* Drive one certifier through the op stream and record every decision
-   (with its assigned version) plus the post-run log/index state.
-   [~interned:true] builds each writeset against the certifier group's
-   intern table, exercising the cached dense-id fast path; [false]
-   submits bare (foreign) writesets that the certifier must re-resolve
-   per probe. The two must be indistinguishable in every decision. *)
-let run_ops ?(interned = false) ~index ops =
-  let config =
-    { small_config with Core.Config.cert_index = index; certifier_standbys = 1 }
-  in
-  let out = ref [] in
+(* Drive one certifier through the op stream, holding every decision to
+   the oracle's prediction made just before it. Returns the decisions
+   (with their assigned versions) plus the post-run log state, and the
+   decisions the oracle disagreed with. [~interned:true] builds each
+   writeset against the certifier group's intern table, exercising the
+   cached dense-id fast path; [false] submits bare (foreign) writesets
+   that the certifier must re-resolve per probe. *)
+let run_ops ?(interned = false) ops =
+  let config = { small_config with Core.Config.certifier_standbys = 1 } in
+  let out = ref [] and wrong = ref [] in
   with_certifier ~config (fun c ->
       let ws_for key =
         if interned then
@@ -147,17 +159,23 @@ let run_ops ?(interned = false) ~index ops =
             (Storage.Writeset.entries (ws_on "t" key))
         else ws_on "t" key
       in
-      List.iter
-        (fun op ->
+      List.iteri
+        (fun i op ->
           match op with
           | Certify (origin, key, staleness) ->
             let snapshot = max 0 (Core.Certifier.version c - staleness) in
-            (match Core.Certifier.certify c ~origin ~snapshot ~ws:(ws_for key) with
-            | Core.Certifier.Commit { version; _ } ->
-              out := Printf.sprintf "C%d" version :: !out
-            | Core.Certifier.Abort -> out := "A" :: !out
-            | Core.Certifier.Overloaded | Core.Certifier.Expired ->
-              Alcotest.fail "unexpected overload decision")
+            let ws = ws_for key in
+            let predicted = linear_predicts_abort c ~snapshot ws in
+            let decided =
+              match Core.Certifier.certify c ~origin ~snapshot ~ws with
+              | Core.Certifier.Commit { version; _ } -> Printf.sprintf "C%d" version
+              | Core.Certifier.Abort -> "A"
+              | Core.Certifier.Overloaded | Core.Certifier.Expired ->
+                Alcotest.fail "unexpected overload decision"
+            in
+            if predicted <> (decided = "A") then
+              wrong := Printf.sprintf "op %d %s: %s" i (pp_op op) decided :: !wrong;
+            out := decided :: !out
           | Truncate window ->
             Core.Certifier.prune c
               ~keep_after:(max 0 (Core.Certifier.version c - window))
@@ -173,7 +191,12 @@ let run_ops ?(interned = false) ~index ops =
         Printf.sprintf "base=%d v=%d" (Core.Certifier.log_base c)
           (Core.Certifier.version c)
         :: !out);
-  List.rev !out
+  (List.rev !out, List.rev !wrong)
+
+let agrees_with_oracle (_, wrong) =
+  wrong = []
+  || QCheck.Test.fail_reportf "keyed decisions the log scan disagrees with: %s"
+       (String.concat "; " wrong)
 
 let op_gen =
   QCheck.Gen.(
@@ -193,27 +216,23 @@ let ops_arb =
     QCheck.Gen.(list_size (int_range 1 120) op_gen)
 
 let prop_linear_equals_keyed =
-  QCheck.Test.make ~count:60 ~name:"Linear and Keyed decide identically" ops_arb
-    (fun ops ->
-      run_ops ~index:Core.Config.Linear ops = run_ops ~index:Core.Config.Keyed ops)
+  QCheck.Test.make ~count:100 ~name:"Linear and Keyed decide identically, per decision"
+    ops_arb (fun ops -> agrees_with_oracle (run_ops ops))
 
-(* The raw-speed pass differential: the interned dense-id index must be
-   a pure representation change. All four arms — {Linear, Keyed} ×
-   {interned, foreign} writesets — produce the identical decision/version
-   stream across random workloads, truncation, and failover mid-stream. *)
+(* Interned dense ids must be a pure representation change: every
+   decision still matches the oracle, and the stream equals the one
+   foreign writesets produce. *)
 let prop_interned_is_representation_only =
-  QCheck.Test.make ~count:60
-    ~name:"interned ids change no decision (vs Linear oracle and foreign keyed)" ops_arb
-    (fun ops ->
-      let oracle = run_ops ~interned:false ~index:Core.Config.Linear ops in
-      run_ops ~interned:true ~index:Core.Config.Keyed ops = oracle
-      && run_ops ~interned:false ~index:Core.Config.Keyed ops = oracle
-      && run_ops ~interned:true ~index:Core.Config.Linear ops = oracle)
+  QCheck.Test.make ~count:100
+    ~name:"interned ids change no decision (vs the Linear oracle and foreign writesets)"
+    ops_arb (fun ops ->
+      let interned = run_ops ~interned:true ops in
+      agrees_with_oracle interned && fst interned = fst (run_ops ops))
 
 (* --- watermarks and GC ------------------------------------------------ *)
 
 let test_watermark_tracking_and_gc () =
-  let config = { keyed_config with Core.Config.watermark_slack = 2 } in
+  let config = { small_config with Core.Config.watermark_slack = 2 } in
   with_certifier ~config (fun c ->
       Core.Certifier.subscribe c ~replica:0 (fun ~epoch:_ _ -> ());
       Core.Certifier.subscribe c ~replica:1 (fun ~epoch:_ _ -> ());
@@ -244,7 +263,7 @@ let test_watermark_tracking_and_gc () =
         (Core.Certifier.log_base c))
 
 let test_gc_noop_without_live_replicas () =
-  with_certifier ~config:keyed_config (fun c ->
+  with_certifier (fun c ->
       for i = 1 to 5 do
         ignore (Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i))
       done;

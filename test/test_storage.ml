@@ -176,6 +176,19 @@ let test_mvcc_ordered_iteration () =
   Mvcc.iter_keys_ordered m (fun k -> keys := Value.as_int k.(0) :: !keys);
   Alcotest.(check (list int)) "ascending key order" [ 1; 2; 3; 4; 5 ] (List.rev !keys)
 
+let test_mvcc_integral_float_key () =
+  (* An integral float compares equal to the int of its value, so the
+     two spellings of a key must share one chain. *)
+  let m = Mvcc.create () in
+  Mvcc.install m [| vi 1; vi 2 |] ~version:1 (Some [| vi 10 |]);
+  Mvcc.install m [| Value.Float 1.0; vi 2 |] ~version:2 (Some [| vi 20 |]);
+  Alcotest.(check int) "one key" 1 (Mvcc.key_count m);
+  let keys = ref 0 in
+  Mvcc.iter_keys_ordered m (fun _ -> incr keys);
+  Alcotest.(check int) "scanned once" 1 !keys;
+  Alcotest.(check bool) "newest version through the int spelling" true
+    (Mvcc.read m [| vi 1; vi 2 |] ~at:2 = Some [| vi 20 |])
+
 (* --- Writeset --- *)
 
 let entry table key op = { Writeset.ws_table = table; ws_key = [| vi key |]; ws_op = op }
@@ -1288,6 +1301,8 @@ let suites =
         Alcotest.test_case "stale install rejected" `Quick test_mvcc_rejects_stale_install;
         Alcotest.test_case "gc" `Quick test_mvcc_gc;
         Alcotest.test_case "ordered iteration" `Quick test_mvcc_ordered_iteration;
+        Alcotest.test_case "integral float key is the int key" `Quick
+          test_mvcc_integral_float_key;
       ]
       @ qsuite [ prop_mvcc_matches_model; prop_directory_matches_full_sort ] );
     ( "storage.writeset",
